@@ -48,7 +48,6 @@ from .debias import (
     hard_debias,
     neutralize,
     run_plan,
-    sequential_debias,
 )
 from .evaluate import (
     EqualityDifferences,
@@ -78,7 +77,7 @@ __all__ = [
     "direction_subspace_cosine", "distance_to_subspace", "josec_direction",
     "josec_objective", "subspace_mean", "subspace_sum", "validate_hypothesis",
     "DebiasPlan", "Strategy", "bias_component", "equalize", "hard_debias",
-    "neutralize", "run_plan", "sequential_debias",
+    "neutralize", "run_plan",
     "EqualityDifferences", "GroupOutcome", "MacReport", "TTestResult",
     "equality_differences", "mac", "mac_for_category", "mean_cos_distance",
     "paired_t_test", "regularized_incomplete_beta", "student_t_cdf",

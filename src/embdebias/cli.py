@@ -21,7 +21,7 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +71,6 @@ class RunConfig:
 
     command: str
     values: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def get(self, name, default=None):
         return self.values.get(name, default)
@@ -267,13 +261,7 @@ def cmd_debias(cfg: RunConfig) -> tuple[list[str], list[str]]:
         if plan.strategy is not Strategy.SEQUENTIAL:
             raise EmbdebiasError("--all-orders requires --strategy seq")
         for order in itertools.permutations([s.name for s in specs]):
-            ordered = DebiasPlan(
-                strategy=Strategy.SEQUENTIAL, k=plan.k, category_order=order,
-                neutral_words=plan.neutral_words,
-                frozen_subspaces=plan.frozen_subspaces,
-                lowercase_fallback=plan.lowercase_fallback,
-                double_center=plan.double_center)
-            result = run_plan(emb, specs, ordered)
+            result = run_plan(emb, specs, replace(plan, category_order=order))
             path = _order_suffix(out, order)
             save_embeddings(result, path, fmt)
             outputs.append(path)
@@ -438,17 +426,14 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
         short = {n: n[:2] for n in names}
         if len(set(short.values())) != len(names):
             short = {n: n for n in names}
-        strategies: list[tuple[str, DebiasPlan]] = []
-        for order in itertools.permutations(names):
-            label = "hard_seq(" + ">".join(short[o] for o in order) + ")"
-            strategies.append((label, DebiasPlan(
-                strategy=Strategy.SEQUENTIAL, k=k, category_order=order,
-                lowercase_fallback=lf, double_center=cfg.get("double_center"),
-                frozen_subspaces=cfg.get("frozen_subspaces"))))
-        for name in ("sum", "mean", "josec"):
-            strategies.append((name, DebiasPlan(
-                strategy=Strategy(name), k=k, lowercase_fallback=lf,
-                double_center=cfg.get("double_center"))))
+        base = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=k, lowercase_fallback=lf,
+                          double_center=cfg.get("double_center"),
+                          frozen_subspaces=cfg.get("frozen_subspaces"))
+        strategies = [("hard_seq(" + ">".join(short[o] for o in order) + ")",
+                       replace(base, category_order=order))
+                      for order in itertools.permutations(names)]
+        strategies += [(name, replace(base, strategy=Strategy(name)))
+                       for name in ("sum", "mean", "josec")]
         best_label, best_total = None, -np.inf
         for label, plan in strategies:
             debiased_emb = run_plan(emb, specs, plan)
@@ -542,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
                        const=True, help="run every category order (seq)")
     p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
                    action=argparse.BooleanOptionalAction, default=None,
-                   help="compute all sequential subspaces on the input instead "
-                        "of recomputing between steps")
+                   help="build each sequential step's subspace on the input "
+                        "instead of on the output of the steps before it; the "
+                        "two coincide unless an earlier step equalizes a later "
+                        "category's defining words or --neutral-words names them")
     p.add_argument("--neutral-words", dest="neutral_words",
                    help="file of words to neutralize (default: all words not "
                         "in any defining or equality set)")

@@ -13,10 +13,15 @@ one out-of-subspace part and symmetric in-subspace parts:
 with mu the mean of E's vectors. The square root requires unit-norm inputs,
 which is why the pipeline insists on normalized embedding sets.
 
-Strategies: debias one category; debias several sequentially (each step's
-subspace is recomputed on the partially debiased vectors unless the plan
-freezes them); or debias once against a composed subspace (SUM / MEAN /
-intersection direction).
+A plan runs as a list of steps, each one ``hard_debias`` call against one
+subspace: SINGLE is one step; SEQUENTIAL is one step per category in the
+plan's order, each subspace built on the partially debiased vectors unless
+the plan freezes them to the input; SUM / MEAN / intersection direction is
+one step against the composed subspace. The rows to neutralize are fixed once
+per plan. Under the default neutral rule defining words are never
+neutralized, so frozen and recomputed subspaces coincide unless an earlier
+step equalizes a later category's defining words or an explicit neutral list
+names them.
 """
 
 from __future__ import annotations
@@ -91,15 +96,6 @@ class DebiasPlan:
                     f"permutation of {tuple(names)!r}")
         if self.strategy is Strategy.SINGLE and len(specs) != 1:
             raise ValueError("SINGLE strategy requires exactly one category")
-        if self.neutral_words is not None:
-            neutral = set(self.neutral_words)
-            for spec in specs:
-                eq_words = {w for ws in self.equality_sets_for(spec) for w in ws}
-                overlap = neutral & eq_words
-                if overlap:
-                    raise ValueError(
-                        f"words {sorted(overlap)!r} appear in both the neutral "
-                        f"list and an equality set of {spec.name!r}")
 
     def equality_sets_for(self, spec: CategorySpec) -> tuple[tuple[str, ...], ...]:
         if self.equality_sets is not None and spec.name in self.equality_sets:
@@ -174,24 +170,49 @@ def _neutralize_block(matrix: np.ndarray, subspace: BiasSubspace):
     return residual / safe[:, None], contained
 
 
-def default_neutral_words(emb: EmbeddingSet, specs: Sequence[CategorySpec],
-                          plan: DebiasPlan) -> tuple[str, ...]:
-    """All vocabulary words outside every defining and equality set in play."""
-    excluded: set[str] = set()
+def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
+                  plan: DebiasPlan) -> np.ndarray:
+    """Boolean mask over ``emb.vocab`` of the rows to neutralize.
+
+    The default rule selects every word outside all defining and equality
+    sets of ``specs``; an explicit neutral list must be disjoint from those
+    equality sets, and its missing words are reported in one warning.
+    """
+    if plan.neutral_words is None:
+        excluded: set[str] = set()
+        for spec in specs:
+            excluded.update(spec.all_defining_words())
+            for ws in plan.equality_sets_for(spec):
+                excluded.update(ws)
+        if plan.lowercase_fallback:
+            excluded.update({w.lower() for w in excluded})
+        mask = np.ones(len(emb), dtype=bool)
+        mask[[emb.index(w) for w in excluded if w in emb]] = False
+        return mask
+    neutral = set(plan.neutral_words)
     for spec in specs:
-        excluded.update(spec.all_defining_words())
-        for ws in plan.equality_sets_for(spec):
-            excluded.update(ws)
-    if plan.lowercase_fallback:
-        excluded.update({w.lower() for w in excluded})
-    return tuple(w for w in emb.vocab if w not in excluded)
+        overlap = neutral & {w for ws in plan.equality_sets_for(spec) for w in ws}
+        if overlap:
+            raise ValueError(
+                f"words {sorted(overlap)!r} appear in both the neutral "
+                f"list and an equality set of {spec.name!r}")
+    res = resolve_words(plan.neutral_words, emb, plan.lowercase_fallback)
+    if res.missing:
+        warnings.warn(f"{len(res.missing)} neutral word(s) not in vocabulary",
+                      WordSkippedWarning, stacklevel=3)
+    mask = np.zeros(len(emb), dtype=bool)
+    mask[[emb.index(w) for w in res.resolved]] = True
+    return mask
 
 
 def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
-                specs: Sequence[CategorySpec]) -> EmbeddingSet:
-    """Neutralize neutral words and equalize equality-set words against one
-    subspace; every other word is left unchanged.
+                specs: Sequence[CategorySpec], *,
+                neutral: np.ndarray | None = None) -> EmbeddingSet:
+    """Neutralize neutral words and equalize the equality sets of ``specs``
+    against one subspace; every other word is left unchanged.
 
+    ``neutral`` is a boolean mask over ``emb.vocab`` of the rows to
+    neutralize; ``None`` applies the plan's neutral rule to ``specs``.
     Per-word degeneracies (fully contained neutral words, degenerate
     equality members) and equality sets that cannot be equalized are skipped
     with a WordSkippedWarning rather than aborting the run. Vocabulary order
@@ -200,22 +221,18 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     if not emb.normalized:
         raise ValueError("hard_debias requires a normalized embedding set "
                          "(call normalize())")
-    plan.validate(specs)
-    neutral = plan.neutral_words
     if neutral is None:
-        neutral = default_neutral_words(emb, specs, plan)
+        neutral = _neutral_rows(emb, specs, plan)
+    elif neutral.shape != (len(emb),):
+        raise ShapeMismatchError(
+            f"neutral mask has shape {neutral.shape}, vocabulary has {len(emb)} words")
 
     matrix = np.array(emb.matrix, copy=True)
-
-    res = resolve_words(neutral, emb, plan.lowercase_fallback)
-    if res.missing and plan.neutral_words is not None:
-        warnings.warn(f"{len(res.missing)} neutral word(s) not in vocabulary",
-                      WordSkippedWarning, stacklevel=2)
-    idx = np.asarray([emb.index(w) for w in res.resolved], dtype=np.intp)
+    idx = np.flatnonzero(neutral)
     if idx.size:
         rows, contained = _neutralize_block(matrix[idx], subspace)
         if contained.any():
-            kept = [res.resolved[i] for i in np.nonzero(contained)[0][:5]]
+            kept = [emb.vocab[i] for i in idx[contained][:5]]
             warnings.warn(
                 f"{int(contained.sum())} neutral word(s) lie inside the bias "
                 f"subspace and were left unchanged (e.g. {kept})",
@@ -223,7 +240,7 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
             rows[contained] = matrix[idx[contained]]
         matrix[idx] = rows
 
-    # equality words are disjoint from the neutral list, so their vectors in
+    # equality words are disjoint from the neutral rows, so their vectors in
     # the input set are still current here
     for spec in specs:
         for ws in plan.equality_sets_for(spec):
@@ -241,61 +258,31 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     return emb.with_matrix(matrix, normalized=subspace.orthonormal)
 
 
-def sequential_debias(emb: EmbeddingSet, specs: Sequence[CategorySpec],
-                      plan: DebiasPlan) -> EmbeddingSet:
-    """Apply hard_debias per category in ``plan.category_order``.
-
-    By default each step recomputes its category's subspace on the current
-    (already partially debiased) vectors; ``frozen_subspaces=True`` computes
-    all subspaces upfront on the input instead.
-    """
-    if plan.strategy is not Strategy.SEQUENTIAL:
-        raise ValueError("sequential_debias requires a SEQUENTIAL plan")
-    plan.validate(specs)
-    by_name = {s.name: s for s in specs}
-    frozen = {}
-    if plan.frozen_subspaces:
-        frozen = {name: bias_subspace(by_name[name], emb, plan.k,
-                                      double_center=plan.double_center,
-                                      lowercase_fallback=plan.lowercase_fallback)
-                  for name in plan.category_order}
-    # neutral default excludes every category's words, not just the current
-    # step's, so later steps see their defining sets intact
-    neutral = plan.neutral_words
-    if neutral is None:
-        neutral = default_neutral_words(emb, specs, plan)
-    current = emb
-    for name in plan.category_order:
-        spec = by_name[name]
-        if plan.frozen_subspaces:
-            subspace = frozen[name]
-        else:
-            subspace = bias_subspace(spec, current, plan.k,
-                                     double_center=plan.double_center,
-                                     lowercase_fallback=plan.lowercase_fallback)
-        step_plan = DebiasPlan(
-            strategy=Strategy.SINGLE, k=plan.k,
-            neutral_words=neutral,
-            equality_sets={name: plan.equality_sets_for(spec)},
-            lowercase_fallback=plan.lowercase_fallback,
-            double_center=plan.double_center)
-        current = hard_debias(current, subspace, step_plan, [spec])
-    return current
-
-
 def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
              plan: DebiasPlan) -> EmbeddingSet:
-    """Execute a full debiasing plan and return the new embedding set."""
+    """Execute a full debiasing plan and return the new embedding set.
+
+    Each step is one ``hard_debias`` call over the same plan-wide neutral
+    rows, so under the default rule no step neutralizes any category's
+    defining or equality words.
+    """
     plan.validate(specs)
-    if plan.strategy is Strategy.SINGLE:
-        subspace = bias_subspace(specs[0], emb, plan.k,
-                                 double_center=plan.double_center,
-                                 lowercase_fallback=plan.lowercase_fallback)
-        return hard_debias(emb, subspace, plan, specs)
+    neutral = _neutral_rows(emb, specs, plan)
     if plan.strategy is Strategy.SEQUENTIAL:
-        return sequential_debias(emb, specs, plan)
-    subspaces = [bias_subspace(s, emb, plan.k, double_center=plan.double_center,
-                               lowercase_fallback=plan.lowercase_fallback)
-                 for s in specs]
-    composed = compose(plan.strategy.value, subspaces)
-    return hard_debias(emb, composed.subspace, plan, specs)
+        by_name = {s.name: s for s in specs}
+        steps = [[by_name[name]] for name in plan.category_order]
+    else:
+        steps = [list(specs)]
+    current = emb
+    for step in steps:
+        source = emb if plan.frozen_subspaces else current
+        subspaces = [bias_subspace(s, source, plan.k,
+                                   double_center=plan.double_center,
+                                   lowercase_fallback=plan.lowercase_fallback)
+                     for s in step]
+        if plan.strategy in (Strategy.SINGLE, Strategy.SEQUENTIAL):
+            subspace = subspaces[0]
+        else:
+            subspace = compose(plan.strategy.value, subspaces).subspace
+        current = hard_debias(current, subspace, plan, step, neutral=neutral)
+    return current

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from embdebias import (
     BiasSubspace,
     CategorySpec,
+    bias_subspace,
     DebiasPlan,
     Strategy,
     bias_component,
@@ -13,7 +15,6 @@ from embdebias import (
     hard_debias,
     neutralize,
     run_plan,
-    sequential_debias,
 )
 from embdebias.errors import (
     EqualizeDegenerateError,
@@ -230,6 +231,30 @@ class TestHardDebias:
         # d1a/d1b are defining but not in the equality set
         np.testing.assert_array_equal(out.vector("d1a"), emb.vector("d1a"))
         np.testing.assert_array_equal(out.vector("d1b"), emb.vector("d1b"))
+        # the neutral rule is plan-wide: no step of a sequential plan touches
+        # the defining words of any category, its own or a later one's
+        emb, specs, _, neutral = _two_category_embedding(orthogonal=False)
+        out = run_plan(emb, specs, DebiasPlan(
+            strategy=Strategy.SEQUENTIAL, k=1, category_order=("cat0", "cat1")))
+        for spec in specs:
+            for w in spec.all_defining_words():
+                np.testing.assert_array_equal(out.vector(w), emb.vector(w))
+        assert all(not np.array_equal(out.vector(w), emb.vector(w)) for w in neutral)
+
+    def test_lowercase_fallback_excludes_both_case_forms(self):
+        emb, _, g, neutral = _planted_embedding()
+        words = ["Man", "woman", "man"] + neutral
+        rows = np.vstack([unit_rows([np.eye(20)[1] + 0.5 * g,
+                                     np.eye(20)[1] - 0.5 * g,
+                                     np.eye(20)[2] + 0.5 * g]),
+                          emb.take(neutral)])
+        emb = make_set(words, rows, normalized=True)
+        spec = CategorySpec("gender", (("Man", "woman"),))
+        out = run_plan(emb, [spec], DebiasPlan(
+            strategy=Strategy.SINGLE, k=1, lowercase_fallback=True))
+        for w in ("Man", "man"):
+            np.testing.assert_array_equal(out.vector(w), emb.vector(w))
+        assert abs(float(out.vector("n0") @ g)) < 1e-8
 
     def test_equalized_words_share_residual(self):
         emb, spec, g, _ = _planted_embedding()
@@ -321,18 +346,42 @@ class TestSequential:
             assert abs(float(out.vector(w) @ g2)) < 1e-8
 
     def test_frozen_subspaces_mode_runs(self):
-        emb, specs, _, neutral = _two_category_embedding(orthogonal=True)
-        out = run_plan(emb, specs, DebiasPlan(
-            strategy=Strategy.SEQUENTIAL, k=1, category_order=("cat1", "cat0"),
-            frozen_subspaces=True))
-        assert out.vocab == emb.vocab
+        # cat0 equalizes cat1's first defining pair, so cat1's subspace moves
+        # between steps unless it is frozen to the input
+        emb, specs, _, neutral = _two_category_embedding(orthogonal=False)
+        specs[0] = CategorySpec("cat0", specs[0].defining_sets,
+                                equality_sets=(("c1d0a", "c1d0b"),))
+        plan = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=1,
+                          category_order=("cat0", "cat1"), frozen_subspaces=True)
+        frozen = run_plan(emb, specs, plan)
+        mask = np.isin(emb.vocab, neutral)
+        chained = emb
+        for spec in specs:
+            chained = hard_debias(chained, bias_subspace(spec, emb, 1), plan,
+                                  [spec], neutral=mask)
+        np.testing.assert_array_equal(frozen.matrix, chained.matrix)
+        recomputed = run_plan(emb, specs, DebiasPlan(
+            strategy=Strategy.SEQUENTIAL, k=1, category_order=("cat0", "cat1")))
+        assert np.abs(frozen.matrix - recomputed.matrix).max() > 1e-3
 
     def test_order_must_be_permutation(self):
         emb, specs, _, _ = _two_category_embedding()
         plan = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=1,
                           category_order=("cat0",))
         with pytest.raises(ValueError, match="permutation"):
-            sequential_debias(emb, specs, plan)
+            run_plan(emb, specs, plan)
+
+    def test_missing_neutral_word_warned_once_per_plan(self):
+        emb, specs, _, neutral = _two_category_embedding()
+        plan = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=1,
+                          category_order=("cat0", "cat1"),
+                          neutral_words=(*neutral, "absent"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_plan(emb, specs, plan)
+        missing = [w for w in caught if "not in vocabulary" in str(w.message)]
+        assert len(missing) == 1
+        assert issubclass(missing[0].category, WordSkippedWarning)
 
 
 class TestRunPlan:
