@@ -103,6 +103,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         values["strategy"] = _STRATEGY_ALIASES[strategy]
     if values.get("all_orders") and values.get("order"):
         raise EmbdebiasError("--order and --all-orders are mutually exclusive")
+    if values.get("debiased") and values.get("pipeline"):
+        raise EmbdebiasError("--debiased and --pipeline are mutually exclusive")
     return RunConfig(command=args.command, values=values)
 
 
@@ -116,8 +118,10 @@ def _load_spec(path_or_name: str) -> CategorySpec:
         f"no such spec file or bundled lexicon: {path_or_name}")
 
 
-def _load_emb(cfg: RunConfig) -> EmbeddingSet:
-    path = cfg.get("embeddings")
+def _load_emb(cfg: RunConfig, path: str | None = None) -> EmbeddingSet:
+    """Load ``path`` (default: ``--embeddings``) under the run's format and
+    normalization options."""
+    path = path or cfg.get("embeddings")
     if not path:
         raise EmbdebiasError("--embeddings is required")
     if not Path(path).is_file():
@@ -126,13 +130,13 @@ def _load_emb(cfg: RunConfig) -> EmbeddingSet:
     emb = load_embeddings(path, fmt)
     if cfg.get("normalize"):
         return normalize(emb)
-    norms = np.linalg.norm(emb.matrix, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-6:
+    try:
+        return emb.with_matrix(emb.matrix, normalized=True)
+    except ValueError:
         raise EmbdebiasError(
             "input embeddings are not unit-normalized and --no-normalize was "
             "given; equalize requires unit vectors, so either drop "
-            "--no-normalize or normalize the file first")
-    return emb.with_matrix(emb.matrix, normalized=True)
+            "--no-normalize or normalize the file first") from None
 
 
 def _specs(cfg: RunConfig) -> list[CategorySpec]:
@@ -295,8 +299,7 @@ def cmd_eval_mac(cfg: RunConfig) -> tuple[list[str], list[str]]:
     reports = [mac_for_category(s, emb, lf) for s in specs]
     baseline_reports = None
     if cfg.get("baseline"):
-        base_cfg = RunConfig(cfg.command, {**cfg.values, "embeddings": cfg.get("baseline")})
-        base = _load_emb(base_cfg)
+        base = _load_emb(cfg, cfg.get("baseline"))
         baseline_reports = [mac_for_category(s, base, lf) for s in specs]
     lines = []
     header = "category        MAC" + ("      delta" if baseline_reports else "")
@@ -355,31 +358,32 @@ def cmd_eval_eq(cfg: RunConfig) -> tuple[list[str], list[str]]:
     return outputs, []
 
 
-def _write_projection_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _hypothesis(cfg: RunConfig, specs, emb) -> tuple[str, list[str]]:
+    """Run ``validate_hypothesis`` against ``--ground-truth`` and write
+    ``--projection-csv``; returns the summary and the paths written."""
+    ground_truth = _load_spec(cfg.get("ground_truth"))
+    report = validate_hypothesis(
+        specs, ground_truth, emb, _require_k(cfg), seed=int(cfg.get("seed", 0)),
+        lowercase_fallback=cfg.get("lowercase_fallback"),
+        double_center=cfg.get("double_center"))
+    proj = cfg.get("projection_csv")
+    if not proj:
+        return report.summary(), []
+    with open(proj, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "component_index", "x", "y", "z"])
-        for label, idx, x, y, z in rows:
+        for label, idx, x, y, z in report.projection_rows:
             writer.writerow([label, idx, "%.12g" % x, "%.12g" % y, "%.12g" % z])
+    return report.summary(), [str(proj)]
 
 
 def cmd_validate_hypothesis(cfg: RunConfig) -> tuple[list[str], list[str]]:
     emb = _load_emb(cfg)
     specs = _specs(cfg)
-    gt_path = cfg.get("ground_truth")
-    if not gt_path:
+    if not cfg.get("ground_truth"):
         raise EmbdebiasError("--ground-truth spec is required")
-    ground_truth = _load_spec(gt_path)
-    report = validate_hypothesis(
-        specs, ground_truth, emb, _require_k(cfg), seed=int(cfg.get("seed", 0)),
-        lowercase_fallback=cfg.get("lowercase_fallback"),
-        double_center=cfg.get("double_center"))
-    outputs = _emit(cfg, report.summary())
-    proj = cfg.get("projection_csv")
-    if proj:
-        _write_projection_csv(proj, report.projection_rows)
-        outputs.append(str(proj))
-    return outputs, []
+    summary, written = _hypothesis(cfg, specs, emb)
+    return _emit(cfg, summary) + written, []
 
 
 def _mac_row(label, reports) -> str:
@@ -408,8 +412,7 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
     records["biased"] = _mac_record(biased)
 
     if cfg.get("debiased"):
-        deb_cfg = RunConfig(cfg.command, {**cfg.values, "embeddings": cfg.get("debiased")})
-        debiased_emb = _load_emb(deb_cfg)
+        debiased_emb = _load_emb(cfg, cfg.get("debiased"))
         debiased = [mac_for_category(s, debiased_emb, lf) for s in specs]
         lines.append(_mac_row("debiased", debiased))
         records["debiased"] = _mac_record(debiased)
@@ -449,20 +452,13 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
                          f"(Total {best_total:.6f})")
             notes.append(f"best_sequential={best_label}")
 
+    written = []
     if cfg.get("ground_truth"):
-        ground_truth = _load_spec(cfg.get("ground_truth"))
-        hyp = validate_hypothesis(
-            specs, ground_truth, emb, _require_k(cfg), seed=int(cfg.get("seed", 0)),
-            lowercase_fallback=lf, double_center=cfg.get("double_center"))
+        summary, written = _hypothesis(cfg, specs, emb)
         lines.append("")
-        lines.append(hyp.summary())
-        proj = cfg.get("projection_csv")
-        if proj:
-            _write_projection_csv(proj, hyp.projection_rows)
+        lines.append(summary)
 
-    outputs = _emit(cfg, "\n".join(lines))
-    if cfg.get("projection_csv") and cfg.get("ground_truth"):
-        outputs.append(str(cfg.get("projection_csv")))
+    outputs = _emit(cfg, "\n".join(lines)) + written
     json_path = cfg.get("json")
     if json_path:
         with open(json_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,18 +1,20 @@
 """Build one subspace for multiple social categories.
 
-Two linear baselines (entrywise SUM and MEAN of the component matrices) and
-the intersection direction: the unit vector u maximizing
-``sum_i sum_k (u . v_ik)^2`` over all categories' components v_ik, which is
-equivalently the unit vector minimizing the summed squared distances to the
-individual subspaces. The maximizer is the dominant right singular direction
-of the stacked component rows; the rows are unit directions about the
-origin, so no centering is applied before the decomposition.
+Two linear baselines (entrywise SUM and MEAN of the component matrices;
+MEAN equals SUM once the rows are renormalized and is kept as a label for
+the paper's tables) and the intersection direction: the unit vector u
+maximizing ``sum_i sum_k (u . v_ik)^2`` over all categories' components
+v_ik, which is equivalently the unit vector minimizing the summed squared
+distances to the individual subspaces. The maximizer is the dominant right
+singular direction of the stacked component rows; the rows are unit
+directions about the origin, so no centering is applied before the
+decomposition.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -61,21 +63,6 @@ def _check_same_shape(subspaces: Sequence[BiasSubspace]):
                 f"subspace {b.label!r} is {b.k}x{b.dim}, expected {k}x{d}")
 
 
-def _renormalized(total: np.ndarray, label: str) -> BiasSubspace:
-    norms = np.linalg.norm(total, axis=1)
-    dead = np.nonzero(norms < 1e-12)[0]
-    if dead.size:
-        raise ZeroRowError(f"row {int(dead[0])} of the {label} composition is zero")
-    comps = total / norms[:, None]
-    off = comps @ comps.T - np.eye(comps.shape[0])
-    return BiasSubspace(
-        label=label,
-        components=comps,
-        explained_variance=np.zeros(comps.shape[0]),
-        orthonormal=bool(np.abs(off).max() <= ORTHO_TOL),
-    )
-
-
 def subspace_sum(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:
     """Entrywise sum of component matrices, rows renormalized to unit length.
 
@@ -84,14 +71,24 @@ def subspace_sum(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:
     """
     _check_same_shape(subspaces)
     total = np.sum([b.components for b in subspaces], axis=0)
-    return _renormalized(total, "SUM")
+    norms = np.linalg.norm(total, axis=1)
+    dead = np.nonzero(norms < 1e-12)[0]
+    if dead.size:
+        raise ZeroRowError(f"row {int(dead[0])} of the SUM composition is zero")
+    comps = total / norms[:, None]
+    off = comps @ comps.T - np.eye(comps.shape[0])
+    return BiasSubspace(
+        label="SUM",
+        components=comps,
+        explained_variance=np.zeros(comps.shape[0]),
+        orthonormal=bool(np.abs(off).max() <= ORTHO_TOL),
+    )
 
 
 def subspace_mean(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:
-    """As :func:`subspace_sum` with division by N before renormalization."""
-    _check_same_shape(subspaces)
-    total = np.sum([b.components for b in subspaces], axis=0) / len(subspaces)
-    return _renormalized(total, "MEAN")
+    """:func:`subspace_sum` labelled MEAN: dividing by N before the rows are
+    renormalized changes nothing."""
+    return replace(subspace_sum(subspaces), label="MEAN")
 
 
 def _check_unit(u: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,16 +62,14 @@ class DebiasPlan:
 
     ``neutral_words=None`` selects the default rule: every vocabulary word
     that appears in no defining set and no equality set of the categories in
-    play. ``equality_sets`` may override the specs' own equality sets per
-    category name. ``category_order`` is required for SEQUENTIAL and must be
-    a permutation of the category names.
+    play. ``category_order`` is required for SEQUENTIAL and must be a
+    permutation of the category names.
     """
 
     strategy: Strategy
     k: int
     category_order: tuple[str, ...] = ()
     neutral_words: tuple[str, ...] | None = None
-    equality_sets: Mapping[str, Sequence[Sequence[str]]] | None = None
     frozen_subspaces: bool = False
     lowercase_fallback: bool = False
     double_center: bool = False
@@ -97,19 +95,15 @@ class DebiasPlan:
         if self.strategy is Strategy.SINGLE and len(specs) != 1:
             raise ValueError("SINGLE strategy requires exactly one category")
 
-    def equality_sets_for(self, spec: CategorySpec) -> tuple[tuple[str, ...], ...]:
-        if self.equality_sets is not None and spec.name in self.equality_sets:
-            return tuple(tuple(ws) for ws in self.equality_sets[spec.name])
-        return spec.equality_sets
-
 
 def bias_component(w: np.ndarray, subspace: BiasSubspace) -> np.ndarray:
-    """Projection of ``w`` onto the subspace rows: sum_k <w, b_k> b_k."""
+    """Projection onto the subspace rows, sum_k <w, b_k> b_k, of one vector
+    or of every row of an ``(n, d)`` block."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (subspace.dim,):
+    if w.ndim not in (1, 2) or w.shape[-1] != subspace.dim:
         raise ShapeMismatchError(
-            f"vector has shape {w.shape}, subspace dimension is {subspace.dim}")
-    return (subspace.components @ w) @ subspace.components
+            f"input has shape {w.shape}, subspace dimension is {subspace.dim}")
+    return (w @ subspace.components.T) @ subspace.components
 
 
 def neutralize(w: np.ndarray, subspace: BiasSubspace) -> np.ndarray:
@@ -118,11 +112,10 @@ def neutralize(w: np.ndarray, subspace: BiasSubspace) -> np.ndarray:
     Raises FullyContainedError when ``w`` lies numerically inside the
     subspace, leaving no direction to keep.
     """
-    residual = np.asarray(w, dtype=np.float64) - bias_component(w, subspace)
-    norm = np.linalg.norm(residual)
-    if norm <= RESIDUAL_TOL:
+    rows, contained = _neutralize_block(np.asarray(w, dtype=np.float64)[None], subspace)
+    if contained[0]:
         raise FullyContainedError("vector lies inside the bias subspace")
-    return residual / norm
+    return rows[0]
 
 
 def equalize(words: Sequence[str], subspace: BiasSubspace, emb: EmbeddingSet,
@@ -151,10 +144,10 @@ def equalize(words: Sequence[str], subspace: BiasSubspace, emb: EmbeddingSet,
             f"||mu - mu_B|| = {np.sqrt(nu @ nu):.6f} > 1; input vectors "
             "are not unit-norm")
     scale = np.sqrt(max(radicand, 0.0))
+    devs = bias_component(vectors, subspace) - mu_b
+    dev_norms = np.linalg.norm(devs, axis=1)
     out: dict[str, np.ndarray] = {}
-    for word, w in zip(res.resolved, vectors):
-        dev = bias_component(w, subspace) - mu_b
-        dev_norm = np.linalg.norm(dev)
+    for word, dev, dev_norm in zip(res.resolved, devs, dev_norms):
         if dev_norm <= RESIDUAL_TOL:
             raise EqualizeDegenerateError(word)
         out[word] = nu + scale * dev / dev_norm
@@ -163,7 +156,7 @@ def equalize(words: Sequence[str], subspace: BiasSubspace, emb: EmbeddingSet,
 
 def _neutralize_block(matrix: np.ndarray, subspace: BiasSubspace):
     """Vectorized neutralize over rows; returns (new_rows, contained_mask)."""
-    residual = matrix - (matrix @ subspace.components.T) @ subspace.components
+    residual = matrix - bias_component(matrix, subspace)
     norms = np.linalg.norm(residual, axis=1)
     contained = norms <= RESIDUAL_TOL
     safe = np.where(contained, 1.0, norms)
@@ -182,8 +175,7 @@ def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
         excluded: set[str] = set()
         for spec in specs:
             excluded.update(spec.all_defining_words())
-            for ws in plan.equality_sets_for(spec):
-                excluded.update(ws)
+            excluded.update(spec.all_equality_words())
         if plan.lowercase_fallback:
             excluded.update({w.lower() for w in excluded})
         mask = np.ones(len(emb), dtype=bool)
@@ -191,7 +183,7 @@ def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
         return mask
     neutral = set(plan.neutral_words)
     for spec in specs:
-        overlap = neutral & {w for ws in plan.equality_sets_for(spec) for w in ws}
+        overlap = neutral.intersection(spec.all_equality_words())
         if overlap:
             raise ValueError(
                 f"words {sorted(overlap)!r} appear in both the neutral "
@@ -243,7 +235,7 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     # equality words are disjoint from the neutral rows, so their vectors in
     # the input set are still current here
     for spec in specs:
-        for ws in plan.equality_sets_for(spec):
+        for ws in spec.equality_sets:
             try:
                 updated = equalize(ws, subspace, emb, plan.lowercase_fallback)
             except (ValueError, EqualizeDegenerateError, RadicandNegativeError) as exc:

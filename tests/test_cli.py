@@ -246,6 +246,32 @@ def test_report_pipeline_with_json(workspace, tmp_path, capsys):
         assert abs(record["Total"] - parts) < 1e-9
 
 
+def test_report_debiased_with_pipeline_exits_2(workspace, tmp_path, capsys):
+    base = ["report", "--embeddings", workspace["emb"],
+            "--specs", *workspace["specs"], "--k", "1"]
+    assert main(base + ["--debiased", workspace["emb"], "--pipeline"]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"debiased": workspace["emb"], "pipeline": True}))
+    assert main(base + ["--config", str(config)]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_report_hypothesis_matches_validate_hypothesis(workspace, tmp_path, capsys):
+    common = ["--embeddings", workspace["emb"], "--specs", *workspace["specs"],
+              "--ground-truth", workspace["gt"], "--k", "1", "--seed", "5"]
+    csv1, csv2 = tmp_path / "v.csv", tmp_path / "r.csv"
+    assert main(["validate-hypothesis", *common, "--projection-csv", str(csv1)]) == 0
+    summary = capsys.readouterr().out
+    out, js = tmp_path / "r.txt", tmp_path / "r.json"
+    assert main(["report", *common, "--projection-csv", str(csv2),
+                 "--out", str(out), "--json", str(js)]) == 0
+    assert out.read_text().endswith("\n" + summary)
+    assert csv1.read_bytes() == csv2.read_bytes()
+    manifest = json.loads((tmp_path / "r.txt.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(csv2), str(js)]
+
+
 def test_report_seeded_rerun_byte_identical(workspace, tmp_path):
     base = ["report", "--embeddings", workspace["emb"],
             "--specs", *workspace["specs"], "--pipeline", "--k", "1",

@@ -4,11 +4,14 @@ import pytest
 from embdebias import (
     BiasSubspace,
     CategorySpec,
+    DebiasPlan,
+    Strategy,
     compose,
     direction_subspace_cosine,
     distance_to_subspace,
     josec_direction,
     josec_objective,
+    run_plan,
     subspace_mean,
     subspace_sum,
     validate_hypothesis,
@@ -64,8 +67,8 @@ class TestSumMean:
         # scaling by N=2 is exact in binary floating point
         np.testing.assert_array_equal(a.components, b.components)
         three = subspaces + [sub(unit_rows(rng.standard_normal((1, 5))), "s2")]
-        np.testing.assert_allclose(subspace_sum(three).components,
-                                   subspace_mean(three).components, atol=1e-15)
+        np.testing.assert_array_equal(subspace_sum(three).components,
+                                      subspace_mean(three).components)
 
     def test_sum_keeps_unit_rows_but_not_orthogonality(self):
         rng = np.random.default_rng(15)
@@ -247,6 +250,22 @@ def test_random_direction_concentration_in_high_dimension():
     direct = float(np.mean(sample @ gt.components[0]))
     assert abs(direct) < 0.15
     assert np.mean(np.abs(sample @ gt.components[0])) < 0.15
+
+
+def test_mean_plan_equals_sum_plan():
+    # three random categories: SUM and MEAN components differ in the last
+    # bit unless MEAN is computed as SUM
+    rng = np.random.default_rng(21)
+    words = [f"c{c}w{j}{x}" for c in range(3) for j in range(2) for x in "ab"]
+    words += [f"n{i}" for i in range(30)]
+    emb = make_set(words, unit_rows(rng.standard_normal((len(words), 12))),
+                   normalized=True)
+    specs = [CategorySpec(f"cat{c}", tuple((f"c{c}w{j}a", f"c{c}w{j}b")
+                                           for j in range(2)))
+             for c in range(3)]
+    mean = run_plan(emb, specs, DebiasPlan(strategy=Strategy.MEAN, k=2))
+    total = run_plan(emb, specs, DebiasPlan(strategy=Strategy.SUM, k=2))
+    np.testing.assert_array_equal(mean.matrix, total.matrix)
 
 
 def test_compose_dispatch():

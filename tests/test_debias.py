@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -77,6 +78,17 @@ class TestBiasComponent:
         with pytest.raises(ShapeMismatchError):
             bias_component(np.ones(3), sub([[1.0, 0.0]]))
 
+    def test_block_matches_rows(self):
+        rng = np.random.default_rng(3)
+        s = sub(random_orthonormal(8, 2, rng))
+        block = rng.standard_normal((5, 8))
+        rows = np.vstack([bias_component(w, s) for w in block])
+        np.testing.assert_allclose(bias_component(block, s), rows, rtol=0, atol=1e-15)
+
+    def test_rejects_3d_input(self):
+        with pytest.raises(ShapeMismatchError):
+            bias_component(np.ones((2, 3, 2)), sub([[1.0, 0.0]]))
+
 
 class TestNeutralize:
     def test_axis_removal(self):
@@ -100,6 +112,14 @@ class TestNeutralize:
             out = neutralize(w, sub(basis))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-8
             assert np.abs(basis @ out).max() < 1e-8
+
+    def test_matches_hard_debias_row(self):
+        emb, spec, _, neutral = _planted_embedding()
+        s = bias_subspace(spec, emb, 1)
+        out = hard_debias(emb, s, DebiasPlan(strategy=Strategy.SINGLE, k=1), [spec])
+        for w in neutral:
+            np.testing.assert_allclose(neutralize(emb.vector(w), s), out.vector(w),
+                                       rtol=0, atol=1e-15)
 
 
 class TestEqualize:
@@ -211,10 +231,9 @@ class TestHardDebias:
 
     def test_noop_plan_returns_input_values(self):
         emb, spec, _, _ = _planted_embedding()
-        plan = DebiasPlan(strategy=Strategy.SINGLE, k=1, neutral_words=(),
-                          equality_sets={"gender": ()})
+        plan = DebiasPlan(strategy=Strategy.SINGLE, k=1, neutral_words=())
         s = sub([np.eye(20)[0]])
-        out = hard_debias(emb, s, plan, [spec])
+        out = hard_debias(emb, s, plan, [dataclasses.replace(spec, equality_sets=())])
         np.testing.assert_array_equal(out.matrix, emb.matrix)
 
     def test_neutral_and_equality_must_be_disjoint(self):
