@@ -3,8 +3,9 @@
 Subcommands: ``subspace``, ``debias``, ``eval-mac``, ``eval-eq``,
 ``validate-hypothesis``, ``report``. Options may come from a JSON config
 file (``--config``); command-line flags override config values, which
-override defaults. Exit codes: 0 success, 1 I/O failure, 2 validation
-failure, 3 numerical degeneracy when ``--strict-degenerate`` is set.
+override defaults. Exit codes: 0 success, 1 I/O failure or out of memory,
+2 validation or linear-algebra failure, 3 numerical degeneracy when
+``--strict-degenerate`` is set.
 
 Runs that produce an output file also write ``<out>.manifest.json`` with the
 resolved configuration, its hash, and all warnings, which is enough to
@@ -437,9 +438,18 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
                       for order in itertools.permutations(names)]
         strategies += [(name, replace(base, strategy=Strategy(name)))
                        for name in ("sum", "mean", "josec")]
+        # Under the default neutral rule every row outside the lexicon is
+        # neutralized on its own and never read again: subspaces and equalize
+        # read the defining and equality rows, MAC the target and attribute
+        # rows. So the plans run on the lexicon rows only.
+        lexicon = {w for s in specs for w in s.all_words()}
+        if lf:
+            lexicon |= {w.lower() for w in lexicon}
+        closure = emb.subset(lexicon)
+        notes.append(f"debiased_rows={len(closure)}/{len(emb)}")
         best_label, best_total = None, -np.inf
         for label, plan in strategies:
-            debiased_emb = run_plan(emb, specs, plan)
+            debiased_emb = run_plan(closure, specs, plan)
             reports = [mac_for_category(s, debiased_emb, lf) for s in specs]
             lines.append(_mac_row(label, reports))
             records[label] = _mac_record(reports)
@@ -564,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debiased", help="debiased embedding file to compare against")
     p.add_argument("--pipeline", action="store_const", const=True,
                    help="run every strategy (sequential all orders, sum, mean, "
-                        "josec) and report MACs")
+                        "josec) on the lexicon rows and report MACs")
     p.add_argument("--k", type=int)
     p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
                    action=argparse.BooleanOptionalAction, default=None)
@@ -590,11 +600,16 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             outputs, notes = args.func(cfg)
-        except (EmbdebiasError, ValueError) as exc:
+        except (EmbdebiasError, ValueError, np.linalg.LinAlgError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print(f"error: out of memory in '{cfg.command}'; the embedding "
+                  "matrix and its debiased copies must fit in RAM",
+                  file=sys.stderr)
             return 1
     messages = [f"{w.category.__name__}: {w.message}" for w in captured]
     for message in messages:

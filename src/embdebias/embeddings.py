@@ -7,13 +7,16 @@ Two text formats are supported:
 * ``glove-text`` — no header; the dimension is inferred from the first line
   and every line must match it.
 
-Files are UTF-8 with ``\\n`` or ``\\r\\n`` line endings. Tokens are
-whitespace-delimited, so words containing internal whitespace cannot be
-represented and are rejected. The binary word2vec format is not supported.
+Files are UTF-8 with ``\\n`` or ``\\r\\n`` line endings. Fields are
+separated by ASCII spaces and tabs only, so a token may hold any other
+character, including Unicode whitespace such as U+00A0 or U+2028 (real
+vocabularies contain such tokens); a token cannot contain a space, a tab or a
+line break. The binary word2vec format is not supported.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,6 +37,10 @@ UNIT_TOL = 1e-6
 
 #: Norms below this are treated as zero vectors.
 ZERO_NORM = 1e-12
+
+#: Field separators of a data line.
+_SEPARATORS = " \t"
+_FIELD = re.compile(r"[^ \t]+")
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,27 @@ class EmbeddingSet:
         """New set with the same vocabulary and a replacement matrix."""
         return EmbeddingSet(self.vocab, matrix, normalized=normalized)
 
+    def subset(self, words) -> "EmbeddingSet":
+        """New set holding the rows of those ``words`` that are in the
+        vocabulary, in vocabulary order, with the same ``normalized`` flag."""
+        idx = sorted({self._index[w] for w in words if w in self._index})
+        return EmbeddingSet(tuple(self.vocab[i] for i in idx), self.matrix[idx],
+                            normalized=self.normalized)
+
+
+def _fields(line: str, dim: int | None) -> list[str]:
+    """Fields of a data line, split on ASCII spaces and tabs only.
+
+    ``str.split()`` also splits on Unicode whitespace. It stays the fast path
+    when it yields ``dim`` values and its first field starts the line and
+    ends at an ASCII separator, so the token holds no Unicode whitespace.
+    """
+    parts = line.split()
+    if (len(parts) - 1 == dim and line.startswith(parts[0])
+            and line[len(parts[0])] in _SEPARATORS):
+        return parts
+    return _FIELD.findall(line)
+
 
 def _parse_rows(lines, dim):
     """Parse data lines into (words, rows); first duplicate occurrence wins."""
@@ -111,7 +139,7 @@ def _parse_rows(lines, dim):
     duplicates = 0
     inferred = dim
     for lineno, line in lines:
-        parts = line.split()
+        parts = _fields(line, inferred)
         if len(parts) < 2:
             raise MalformedLineError(
                 f"expected a word followed by values, got {len(parts)} field(s)",
@@ -151,7 +179,9 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     with open(path, encoding="utf-8") as fh:
         raw = fh.read()
-    lines = [(i + 1, ln) for i, ln in enumerate(raw.splitlines()) if ln.strip()]
+    # str.splitlines() would also break at U+0085, U+2028, U+001C, ...
+    lines = [(i + 1, ln) for i, ln in enumerate(raw.split("\n"))
+             if ln.strip(_SEPARATORS)]
     if not lines:
         raise EmptyFileError(f"{path}: no content")
 

@@ -59,6 +59,11 @@ class CategorySpec:
     def all_equality_words(self) -> tuple[str, ...]:
         return tuple(w for ws in self.equality_sets for w in ws)
 
+    def all_words(self) -> tuple[str, ...]:
+        """Every word of the four set fields, duplicates included."""
+        return tuple(w for name in _SET_FIELDS for ws in getattr(self, name)
+                     for w in ws)
+
 
 def load_category_spec(path) -> CategorySpec:
     """Parse a category spec file, checking structural invariants."""

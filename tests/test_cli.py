@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -5,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from embdebias import load_embeddings, load_subspace
+from embdebias import (
+    DebiasPlan,
+    Strategy,
+    load_category_spec,
+    load_embeddings,
+    load_subspace,
+    mac_for_category,
+    normalize,
+    run_plan,
+)
 from embdebias.cli import main
 
 from conftest import unit_rows, write_embeddings_file
@@ -335,3 +346,122 @@ def test_warnings_recorded_in_manifest(workspace, tmp_path):
     assert code == 0  # degeneracy is only a warning without the strict flag
     manifest = json.loads((tmp_path / "x.sub.manifest.json").read_text())
     assert any("RankDeficiencyWarning" in w for w in manifest["warnings"])
+
+
+def test_linalg_error_exits_2(workspace, tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("embdebias.cli.bias_subspace", no_convergence)
+    code = main(["subspace", "--embeddings", workspace["emb"],
+                 "--spec", workspace["specs"][0], "--k", "1",
+                 "--out", str(tmp_path / "x.sub")])
+    assert code == 2
+    assert "error: SVD did not converge" in capsys.readouterr().err
+
+
+def test_memory_error_exits_1(workspace, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("embdebias.cli.load_embeddings", exhausted)
+    code = main(["report", "--embeddings", workspace["emb"],
+                 "--specs", *workspace["specs"], "--pipeline", "--k", "1"])
+    assert code == 1
+    assert "error: out of memory" in capsys.readouterr().err
+
+
+# --- report --pipeline runs on the lexicon rows only -------------------------
+
+def _full_vocabulary_records(emb_path, spec_paths, short, k, *,
+                             lowercase_fallback=False, frozen_subspaces=False,
+                             double_center=False):
+    """MAC records of every pipeline plan, each run with ``run_plan`` on the
+    whole vocabulary, keyed as in the ``report --json`` output."""
+    emb = normalize(load_embeddings(emb_path, "word2vec-text"))
+    specs = [load_category_spec(p) for p in spec_paths]
+    base = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=k,
+                      lowercase_fallback=lowercase_fallback,
+                      frozen_subspaces=frozen_subspaces,
+                      double_center=double_center)
+    plans = {"hard_seq(" + ">".join(short[o] for o in order) + ")":
+             dataclasses.replace(base, category_order=order)
+             for order in itertools.permutations(s.name for s in specs)}
+    for name in ("sum", "mean", "josec"):
+        plans[name] = dataclasses.replace(base, strategy=Strategy(name))
+    records = {}
+    for label, plan in [("biased", None), *plans.items()]:
+        debiased = emb if plan is None else run_plan(emb, specs, plan)
+        macs = {s.name: mac_for_category(s, debiased, lowercase_fallback).mac
+                for s in specs}
+        records[label] = {**macs, "Total": sum(macs.values())}
+    return records, len(emb)
+
+
+def _assert_records_close(records, expected):
+    assert set(records) == set(expected)
+    for label, record in expected.items():
+        assert set(records[label]) == set(record), label
+        for key, value in record.items():
+            assert abs(records[label][key] - value) <= 1e-12, (label, key)
+
+
+def test_pipeline_matches_full_vocabulary_plans(workspace, tmp_path):
+    out, js = tmp_path / "r.txt", tmp_path / "r.json"
+    assert main(["report", "--embeddings", workspace["emb"],
+                 "--specs", *workspace["specs"], "--pipeline", "--k", "1",
+                 "--out", str(out), "--json", str(js)]) == 0
+    expected, n_vocab = _full_vocabulary_records(
+        workspace["emb"], workspace["specs"], {"cat0": "cat0", "cat1": "cat1"}, 1)
+    _assert_records_close(json.loads(js.read_text()), expected)
+    notes = json.loads((tmp_path / "r.txt.manifest.json").read_text())["notes"]
+    # 8 defining words, 6 targets, 4 attributes; the 30 fillers are skipped
+    assert f"debiased_rows=18/{n_vocab}" in notes
+
+
+@pytest.fixture(scope="module")
+def case_twin_workspace(tmp_path_factory):
+    """Random unit rows for two categories whose spec words are capitalized;
+    the vocabulary holds some words in both cases, some only in lower case
+    (reached by the lowercase fallback) and some only as spelled. Gender's
+    equality sets include race's first defining pair, so frozen and
+    recomputed sequential subspaces differ."""
+    root = tmp_path_factory.mktemp("twins")
+    rng = np.random.default_rng(47)
+    words, spec_paths = [], []
+    for cat in ("gender", "race"):
+        c = cat[0].upper()
+        defining = [[f"{c}a{j}", f"{c}b{j}"] for j in range(3)]
+        targets = [f"{c}t{i}" for i in range(5)]
+        attributes = [[f"{c}x{i}" for i in range(3)], [f"{c}y{i}" for i in range(3)]]
+        spelled = [w for ws in defining for w in ws] + targets + attributes[0] + attributes[1]
+        for i, w in enumerate(spelled):
+            # both cases, lower case only, as spelled only
+            words += [[w, w.lower()], [w.lower()], [w]][i % 3]
+        equality = [defining[0]] + ([["Ra0", "Rb0"]] if cat == "gender" else [])
+        path = root / f"{cat}.json"
+        path.write_text(json.dumps({
+            "name": cat, "defining_sets": defining, "equality_sets": equality,
+            "target_words": [targets], "attribute_sets": attributes}))
+        spec_paths.append(str(path))
+    words += [f"fill{i}" for i in range(60)]
+    emb_path = write_embeddings_file(root / "emb.txt", words,
+                                     rng.standard_normal((len(words), 12)))
+    return str(emb_path), spec_paths, len(words)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_pipeline_matches_full_vocabulary_with_case_twins(case_twin_workspace,
+                                                           tmp_path, frozen):
+    emb_path, spec_paths, n_vocab = case_twin_workspace
+    flags = ["--lowercase-fallback", "--double-center"]
+    flags += ["--frozen-subspaces"] if frozen else []
+    out, js = tmp_path / "r.txt", tmp_path / "r.json"
+    assert main(["report", "--embeddings", emb_path, "--specs", *spec_paths,
+                 "--pipeline", "--k", "2", *flags,
+                 "--out", str(out), "--json", str(js)]) == 0
+    expected, _ = _full_vocabulary_records(
+        emb_path, spec_paths, {"gender": "ge", "race": "ra"}, 2,
+        lowercase_fallback=True, frozen_subspaces=frozen, double_center=True)
+    _assert_records_close(json.loads(js.read_text()), expected)
+    notes = json.loads((tmp_path / "r.txt.manifest.json").read_text())["notes"]
+    lexicon_rows = n_vocab - 60
+    assert f"debiased_rows={lexicon_rows}/{n_vocab}" in notes

@@ -44,6 +44,36 @@ def test_load_crlf_and_blank_lines(tmp_path):
     assert emb.vocab == ("a", "b")
 
 
+@pytest.mark.parametrize("sep", ["\u00a0", "\u0085", "\u2028", "\u001c"])
+@pytest.mark.parametrize("fmt", ["word2vec-text", "glove-text"])
+def test_tokens_keep_unicode_whitespace(tmp_path, sep, fmt):
+    # str.split()/splitlines() break at each of these; fields are split on
+    # ASCII space and tab only
+    words = [f"a{sep}b", f"{sep}c", f"d{sep}", "e"]
+    header = "4 2\n" if fmt == "word2vec-text" else ""
+    path = tmp_path / "e.txt"
+    path.write_text(header + "".join(f"{w} {i} 1\n" for i, w in enumerate(words)),
+                    encoding="utf-8")
+    emb = load_embeddings(path, fmt)
+    assert emb.vocab == tuple(words)
+    np.testing.assert_array_equal(emb.matrix[:, 0], [0, 1, 2, 3])
+
+
+def test_tabs_and_repeated_spaces_separate_fields(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("a\t1  0 \n b 0\t1\n", encoding="utf-8")
+    emb = load_embeddings(path, "glove-text")
+    assert emb.vocab == ("a", "b")
+    np.testing.assert_array_equal(emb.matrix, [[1, 0], [0, 1]])
+
+
+def test_extra_field_after_unicode_token_reports_its_line(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("3 2\na\u2028b 1 0\nc\u00a0d 0 1\ne 1 1 1\n", encoding="utf-8")
+    with pytest.raises(DimensionMismatchError, match="line 4: 3 values, expected 2"):
+        load_embeddings(path, "word2vec-text")
+
+
 def test_dimension_mismatch(tmp_path):
     path = tmp_path / "e.txt"
     path.write_text("2 3\na 1 0\nb 0 1 0\n")
@@ -190,6 +220,14 @@ class TestEmbeddingSetInvariants:
         emb = make_set(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError):
             emb.matrix[0, 0] = 5.0
+
+    def test_subset_keeps_vocab_order_and_flag(self):
+        emb = normalize(make_set(["a", "b", "c", "d"], np.eye(4) + 1.0))
+        sub = emb.subset(["d", "b", "missing", "b"])
+        assert sub.vocab == ("b", "d")
+        assert sub.normalized
+        np.testing.assert_array_equal(sub.matrix, emb.take(["b", "d"]))
+        assert len(emb.subset([])) == 0
 
     def test_lookup_total_over_vocab(self):
         emb = make_set(["a"], [[1.0, 0.0]])

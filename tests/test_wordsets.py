@@ -147,3 +147,10 @@ def test_category_spec_immutable():
     spec = CategorySpec("g", (("a", "b"),))
     with pytest.raises(AttributeError):
         spec.name = "h"
+
+
+def test_all_words_covers_every_set_field():
+    spec = CategorySpec("g", (("he", "she"),), equality_sets=(("man", "woman"),),
+                        target_words=(("nurse",), ("he",)),
+                        attribute_sets=(("kind",),))
+    assert spec.all_words() == ("he", "she", "man", "woman", "nurse", "he", "kind")
