@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory(prefix="embdebias-demo-") as tmp:
 
     # every pipeline step downstream assumes unit rows
     unit = normalize(emb)
-    print("after normalize, king ->", unit.vector("king"))
+    print("after normalize, king ->", unit.vector("king"), "normalized:", unit.normalized)
     print("row norms:", np.linalg.norm(unit.matrix, axis=1))
 
     # values are written with 17 significant digits, so a reload is bit-exact

@@ -35,7 +35,9 @@ for i in range(20):
     words.append(f"filler{i}")
     rows.append(v / np.linalg.norm(v))
 
-emb = EmbeddingSet(tuple(words), np.vstack(rows), normalized=True)
+# every row is unit-norm, so the set is derived as normalized
+emb = EmbeddingSet(tuple(words), np.vstack(rows))
+print("normalized:", emb.normalized)
 spec = CategorySpec("gender", (("pair0_a", "pair0_b"),
                                ("pair1_a", "pair1_b"),
                                ("pair2_a", "pair2_b")))
@@ -53,7 +55,8 @@ two = principal_components(diffs, 2, label="gender-k2")
 print("k=2 second component alignment |<b2, h>| =",
       abs(float(two.components[1] @ h)))
 print("k=2 orthonormality error:",
-      np.abs(two.components @ two.components.T - np.eye(2)).max())
+      np.abs(two.components @ two.components.T - np.eye(2)).max(),
+      "orthonormal:", two.orthonormal)
 
 # requesting more directions than the data carries truncates with a warning
 import warnings

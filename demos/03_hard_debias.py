@@ -27,8 +27,7 @@ w = np.array([0.6, 0.8])
 print("bias component of (0.6, 0.8):", bias_component(w, B))
 print("neutralized:", neutralize(w, B))           # -> (0, 1)
 
-emb2 = EmbeddingSet(("left", "up"), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                    normalized=True)
+emb2 = EmbeddingSet(("left", "up"), np.array([[1.0, 0.0], [0.0, 1.0]]))
 print("equalized pair:", equalize(["left", "up"], B, emb2))
 
 # now a realistic run: plant a direction, debias, measure the change
@@ -48,7 +47,7 @@ for t in range(8):
     professions.append(f"job{t}")
     rows.append(m * np.sqrt(1 - 0.3 ** 2) + g * 0.3)
 
-emb = EmbeddingSet(tuple(words), np.vstack(rows), normalized=True)
+emb = EmbeddingSet(tuple(words), np.vstack(rows))
 spec = CategorySpec("gender", (("def0_a", "def0_b"), ("def1_a", "def1_b")),
                     equality_sets=(("def0_a", "def0_b"),))
 
@@ -56,6 +55,7 @@ before = max(abs(float(emb.vector(w) @ g)) for w in professions)
 out = run_plan(emb, [spec], DebiasPlan(strategy=Strategy.SINGLE, k=1))
 after = max(abs(float(out.vector(w) @ g)) for w in professions)
 print(f"max |<job, g>| before: {before:.3f}   after: {after:.2e}")
+print("normalized before and after:", emb.normalized, out.normalized)
 
 # equalized words end up symmetric around a shared neutral part
 a, b = out.vector("def0_a"), out.vector("def0_b")

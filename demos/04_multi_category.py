@@ -47,7 +47,7 @@ rows += [gt_m * np.sqrt(1 - 0.4 ** 2) + g * 0.4,
          gt_m * np.sqrt(1 - 0.4 ** 2) - g * 0.4]
 gt_spec = CategorySpec("intersectional", (("gt_a", "gt_b"),))
 
-emb = EmbeddingSet(tuple(words), np.vstack(rows), normalized=True)
+emb = EmbeddingSet(tuple(words), np.vstack(rows))
 subspaces = [bias_subspace(s, emb, k=2) for s in specs]
 
 result = josec_direction(subspaces)

@@ -131,13 +131,12 @@ def _load_emb(cfg: RunConfig, path: str | None = None) -> EmbeddingSet:
     emb = load_embeddings(path, fmt)
     if cfg.get("normalize"):
         return normalize(emb)
-    try:
-        return emb.with_matrix(emb.matrix, normalized=True)
-    except ValueError:
+    if not emb.normalized:
         raise EmbdebiasError(
             "input embeddings are not unit-normalized and --no-normalize was "
             "given; equalize requires unit vectors, so either drop "
-            "--no-normalize or normalize the file first") from None
+            "--no-normalize or normalize the file first")
+    return emb
 
 
 def _specs(cfg: RunConfig) -> list[CategorySpec]:

@@ -19,14 +19,14 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import ZERO_NORM, EmbeddingSet
 from .errors import (
     DegenerateTieWarning,
     NotUnitError,
     ShapeMismatchError,
     ZeroRowError,
 )
-from .subspace import BiasSubspace, ORTHO_TOL, _fix_signs, bias_subspace
+from .subspace import BiasSubspace, _fix_signs, bias_subspace
 from .wordsets import CategorySpec
 
 UNIT_TOL = 1e-10
@@ -72,17 +72,11 @@ def subspace_sum(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:
     _check_same_shape(subspaces)
     total = np.sum([b.components for b in subspaces], axis=0)
     norms = np.linalg.norm(total, axis=1)
-    dead = np.nonzero(norms < 1e-12)[0]
+    dead = np.nonzero(norms < ZERO_NORM)[0]
     if dead.size:
         raise ZeroRowError(f"row {int(dead[0])} of the SUM composition is zero")
-    comps = total / norms[:, None]
-    off = comps @ comps.T - np.eye(comps.shape[0])
-    return BiasSubspace(
-        label="SUM",
-        components=comps,
-        explained_variance=np.zeros(comps.shape[0]),
-        orthonormal=bool(np.abs(off).max() <= ORTHO_TOL),
-    )
+    return BiasSubspace(label="SUM", components=total / norms[:, None],
+                        explained_variance=np.zeros(total.shape[0]))
 
 
 def subspace_mean(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:

@@ -144,7 +144,9 @@ def equalize(words: Sequence[str], subspace: BiasSubspace, emb: EmbeddingSet,
             f"||mu - mu_B|| = {np.sqrt(nu @ nu):.6f} > 1; input vectors "
             "are not unit-norm")
     scale = np.sqrt(max(radicand, 0.0))
-    devs = bias_component(vectors, subspace) - mu_b
+    # projecting the small differences, not subtracting two projections,
+    # keeps their directions inside the subspace when members nearly coincide
+    devs = bias_component(vectors - mu, subspace)
     dev_norms = np.linalg.norm(devs, axis=1)
     out: dict[str, np.ndarray] = {}
     for word, dev, dev_norm in zip(res.resolved, devs, dev_norms):
@@ -245,9 +247,7 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
             for word, vec in updated.items():
                 matrix[emb.index(word)] = vec
 
-    # an oblique (non-orthonormal) subspace gives equalize no unit-norm
-    # guarantee, so the flag follows the subspace
-    return emb.with_matrix(matrix, normalized=subspace.orthonormal)
+    return EmbeddingSet(emb.vocab, matrix)
 
 
 def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],

@@ -41,6 +41,7 @@ ZERO_NORM = 1e-12
 #: Field separators of a data line.
 _SEPARATORS = " \t"
 _FIELD = re.compile(r"[^ \t]+")
+_UNSAVABLE = re.compile(r"[ \t\n\r]")
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,15 @@ class EmbeddingSet:
     """An immutable vocabulary-to-vector map with a fixed dimension.
 
     Every word appears exactly once; ``matrix`` row ``i`` is the vector for
-    ``vocab[i]``. Instances are safe for concurrent reads: the matrix is
-    marked read-only and all mutation-shaped operations return new sets.
+    ``vocab[i]``. ``normalized`` is derived from the matrix: True exactly
+    when every row has unit L2 norm within ``UNIT_TOL``. Instances are safe
+    for concurrent reads: the matrix is marked read-only and all
+    mutation-shaped operations return new sets.
     """
 
     vocab: tuple[str, ...]
     matrix: np.ndarray
-    normalized: bool = False
+    normalized: bool = field(init=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,14 +76,12 @@ class EmbeddingSet:
             if word in index:
                 raise ValueError(f"duplicate word {word!r}")
             index[word] = i
-        if self.normalized:
-            norms = np.linalg.norm(matrix, axis=1)
-            if np.abs(norms - 1.0).max(initial=0.0) > UNIT_TOL:
-                raise ValueError(
-                    "normalized=True but some rows are not unit-norm")
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         matrix.flags.writeable = False
         object.__setattr__(self, "vocab", tuple(self.vocab))
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "normalized",
+                           bool((np.abs(norms - 1.0) <= UNIT_TOL).all()))
         object.__setattr__(self, "_index", index)
 
     @property
@@ -105,30 +106,27 @@ class EmbeddingSet:
         idx = [self._index[w] for w in words]
         return self.matrix[idx]
 
-    def with_matrix(self, matrix: np.ndarray, normalized: bool) -> "EmbeddingSet":
-        """New set with the same vocabulary and a replacement matrix."""
-        return EmbeddingSet(self.vocab, matrix, normalized=normalized)
-
     def subset(self, words) -> "EmbeddingSet":
         """New set holding the rows of those ``words`` that are in the
-        vocabulary, in vocabulary order, with the same ``normalized`` flag."""
+        vocabulary, in vocabulary order."""
         idx = sorted({self._index[w] for w in words if w in self._index})
-        return EmbeddingSet(tuple(self.vocab[i] for i in idx), self.matrix[idx],
-                            normalized=self.normalized)
+        return EmbeddingSet(tuple(self.vocab[i] for i in idx), self.matrix[idx])
+
+
+def _is_blank(line: str) -> bool:
+    """A line holding nothing but ASCII spaces, tabs and its line break."""
+    return not line.strip(_SEPARATORS + "\n")
 
 
 def _fields(line: str, dim: int | None) -> list[str]:
-    """Fields of a data line, split on ASCII spaces and tabs only.
-
-    ``str.split()`` also splits on Unicode whitespace. It stays the fast path
-    when it yields ``dim`` values and its first field starts the line and
-    ends at an ASCII separator, so the token holds no Unicode whitespace.
-    """
-    parts = line.split()
-    if (len(parts) - 1 == dim and line.startswith(parts[0])
-            and line[len(parts[0])] in _SEPARATORS):
-        return parts
-    return _FIELD.findall(line)
+    """Fields of a data line, split on ASCII spaces and tabs only, so a token
+    or a value keeps any Unicode whitespace it holds. Splitting on single
+    spaces is the fast path; tabs, runs of separators or a count other than
+    ``dim`` values take the pattern match."""
+    parts = line.rstrip(_SEPARATORS).split(" ")
+    if len(parts) - 1 != dim or "" in parts or "\t" in line:
+        return _FIELD.findall(line)
+    return parts
 
 
 def _parse_rows(lines, dim):
@@ -171,7 +169,7 @@ def _parse_rows(lines, dim):
 
 
 def load_embeddings(path, format: str) -> EmbeddingSet:
-    """Load an embedding file; the returned set has ``normalized=False``.
+    """Load an embedding file; rows are kept as written, not rescaled.
 
     Raises MalformedLineError, DimensionMismatchError, or EmptyFileError.
     """
@@ -181,7 +179,7 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
         raw = fh.read()
     # str.splitlines() would also break at U+0085, U+2028, U+001C, ...
     lines = [(i + 1, ln) for i, ln in enumerate(raw.split("\n"))
-             if ln.strip(_SEPARATORS)]
+             if not _is_blank(ln)]
     if not lines:
         raise EmptyFileError(f"{path}: no content")
 
@@ -210,13 +208,14 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
         warnings.warn(
             f"header declares {declared_count} words, file has {len(words)}",
             WordSkippedWarning, stacklevel=2)
-    return EmbeddingSet(tuple(words), np.vstack(rows), normalized=False)
+    return EmbeddingSet(tuple(words), np.vstack(rows))
 
 
 def sniff_format(path) -> str:
-    """Guess the format: a first line of exactly two integers is word2vec-text."""
+    """Guess the format: a first non-blank line of exactly two integers is
+    word2vec-text."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
+        first = next((ln for ln in fh if not _is_blank(ln)), "")
     fields = first.split()
     if len(fields) == 2:
         try:
@@ -230,20 +229,26 @@ def sniff_format(path) -> str:
 def normalize(emb: EmbeddingSet) -> EmbeddingSet:
     """Rescale every row to unit L2 norm.
 
-    Raises ZeroVectorError if any row has norm below 1e-12.
+    Raises ZeroVectorError if any row has norm below ``ZERO_NORM``.
     """
     norms = np.linalg.norm(emb.matrix, axis=1)
     bad = np.nonzero(norms < ZERO_NORM)[0]
     if bad.size:
         raise ZeroVectorError(emb.vocab[int(bad[0])])
-    return emb.with_matrix(emb.matrix / norms[:, None], normalized=True)
+    return EmbeddingSet(emb.vocab, emb.matrix / norms[:, None])
 
 
 def save_embeddings(emb: EmbeddingSet, path, format: str) -> None:
     """Write ``emb`` to ``path``; values carry 17 significant digits so a
-    reload reproduces them bit-exactly."""
+    reload reproduces them bit-exactly. A word the loader could not read back
+    (empty, or holding a space, tab or line break) raises ValueError before
+    the file is opened."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    bad = next((w for w in emb.vocab if not w or _UNSAVABLE.search(w)), None)
+    if bad is not None:
+        raise ValueError(f"word {bad!r} cannot be saved: words must be nonempty "
+                         "and hold no space, tab or line break")
     fmt = " ".join(["%.17g"] * emb.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if format == "word2vec-text":

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import ZERO_NORM, EmbeddingSet
 from .errors import (
     EmptyAttributeSetError,
     LengthMismatchError,
@@ -32,8 +32,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .wordsets import CategorySpec, resolve_words
-
-ZERO_NORM = 1e-12
 
 
 def mean_cos_distance(target: np.ndarray, attributes: np.ndarray) -> float:

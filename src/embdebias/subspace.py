@@ -11,7 +11,7 @@ reference implementations of hard-debiasing).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +42,18 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BiasSubspace:
-    """K direction vectors (rows) in R^d for one category or a composition.
+    """K unit direction vectors (rows) in R^d for one category or a composition.
 
-    ``orthonormal`` is True for PCA-derived subspaces; entrywise SUM/MEAN
-    compositions keep unit rows but generally lose cross-orthogonality, so
-    they carry ``orthonormal=False`` and are used as-is by the projection
-    step. Immutable; safe for shared reads.
+    ``orthonormal`` is derived from the rows: True exactly when the
+    off-diagonal Gram entries are within ``ORTHO_TOL`` of zero, as for PCA
+    subspaces. Entrywise SUM/MEAN compositions generally lose it and are used
+    as-is by the projection step. Immutable; safe for shared reads.
     """
 
     label: str
     components: np.ndarray         # (K, d)
     explained_variance: np.ndarray  # (K,) nonincreasing, nonnegative
-    orthonormal: bool = True
+    orthonormal: bool = field(init=False)
 
     def __post_init__(self):
         comps = np.array(self.components, dtype=np.float64, copy=True)
@@ -70,14 +70,13 @@ class BiasSubspace:
         gram = comps @ comps.T
         if np.abs(np.diag(gram) - 1.0).max() > ORTHO_TOL:
             raise ValueError("component rows must be unit-norm")
-        if self.orthonormal:
-            off = gram - np.eye(comps.shape[0])
-            if np.abs(off).max() > ORTHO_TOL:
-                raise ValueError("components are not orthonormal")
         comps.flags.writeable = False
         ev.flags.writeable = False
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "explained_variance", ev)
+        off = gram[~np.eye(comps.shape[0], dtype=bool)]
+        object.__setattr__(self, "orthonormal",
+                           bool(np.abs(off).max(initial=0.0) <= ORTHO_TOL))
 
     @property
     def k(self) -> int:
@@ -170,8 +169,7 @@ def save_subspace(subspace: BiasSubspace, path) -> None:
 def load_subspace(path) -> BiasSubspace:
     """Read a subspace file written by :func:`save_subspace`.
 
-    Explained variances are not stored in the format, so they load as zeros;
-    the orthonormality flag is re-derived from the rows.
+    Explained variances are not stored in the format, so they load as zeros.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -193,11 +191,5 @@ def load_subspace(path) -> BiasSubspace:
         if len(parts) != d:
             raise MalformedLineError(f"expected {d} values, got {len(parts)}", lineno)
         rows.append(np.asarray(parts, dtype=np.float64))
-    comps = np.vstack(rows)
-    off = comps @ comps.T - np.eye(k)
-    return BiasSubspace(
-        label=label,
-        components=comps,
-        explained_variance=np.zeros(k),
-        orthonormal=bool(np.abs(off).max() <= ORTHO_TOL),
-    )
+    return BiasSubspace(label=label, components=np.vstack(rows),
+                        explained_variance=np.zeros(k))

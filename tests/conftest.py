@@ -17,9 +17,8 @@ def unit_rows(matrix):
     return matrix / np.linalg.norm(matrix, axis=1)[:, None]
 
 
-def make_set(words, matrix, normalized=False):
-    return EmbeddingSet(tuple(words), np.asarray(matrix, dtype=np.float64),
-                        normalized=normalized)
+def make_set(words, matrix):
+    return EmbeddingSet(tuple(words), np.asarray(matrix, dtype=np.float64))
 
 
 @pytest.fixture

@@ -78,7 +78,7 @@ def test_criterion_2_equalize_correctness():
                 subspace = _sub(basis)
                 vectors = unit_rows(rng.standard_normal((size, d)))
                 words = [f"w{i}" for i in range(size)]
-                emb = make_set(words, vectors, normalized=True)
+                emb = make_set(words, vectors)
                 out = equalize(words, subspace, emb)
                 for v in out.values():
                     assert abs(np.linalg.norm(v) - 1.0) < 1e-10
@@ -94,7 +94,7 @@ def test_criterion_2_equalize_correctness():
                 cases += 1
     assert worst < 1e-10
     assert worst_shared < 1e-10
-    emb = make_set(["x", "y"], [[1.0, 0.0], [1.0, 0.0]], normalized=True)
+    emb = make_set(["x", "y"], [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(EqualizeDegenerateError):
         equalize(["x", "y"], _sub([[1.0, 0.0]]), emb)
     _pass(2, f"{cases} random equality sets match the scalar oracle to "
@@ -234,7 +234,7 @@ def _planted_two_category_construction():
     while len(words) < n_words:
         words.append(f"fill{len(words)}")
         rows.append(unit_rows([rng.standard_normal(d)])[0])
-    emb = make_set(words, np.vstack(rows), normalized=True)
+    emb = make_set(words, np.vstack(rows))
     return emb, specs, g, targets, attrs
 
 
@@ -338,7 +338,7 @@ def big_embedding_file(tmp_path_factory):
     matrix = rng.standard_normal((n, d))
     matrix /= np.linalg.norm(matrix, axis=1)[:, None]
     words = lexicon + [f"w{i:06d}" for i in range(n - len(lexicon))]
-    emb = EmbeddingSet(tuple(words), matrix, normalized=True)
+    emb = EmbeddingSet(tuple(words), matrix)
     path = tmp_path_factory.mktemp("big") / "biased.txt"
     save_embeddings(emb, path, "word2vec-text")
     return str(path)

@@ -26,9 +26,9 @@ from embdebias.errors import (
 from conftest import make_set, random_orthonormal, unit_rows
 
 
-def sub(rows, label="s", orthonormal=True):
+def sub(rows, label="s"):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return BiasSubspace(label, rows, np.zeros(rows.shape[0]), orthonormal=orthonormal)
+    return BiasSubspace(label, rows, np.zeros(rows.shape[0]))
 
 
 class TestSumMean:
@@ -43,7 +43,7 @@ class TestSumMean:
 
     def test_sum_cancellation(self):
         with pytest.raises(ZeroRowError):
-            subspace_sum([sub([[1.0, 0.0]]), sub([[-1.0, 0.0]], orthonormal=True)])
+            subspace_sum([sub([[1.0, 0.0]]), sub([[-1.0, 0.0]])])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -171,7 +171,7 @@ class TestJosecDirection:
         assert res.degenerate_tie
 
     def test_requires_orthonormal_inputs(self):
-        bad = sub(unit_rows([[1.0, 0.0], [0.9, 0.1]]), orthonormal=False)
+        bad = sub(unit_rows([[1.0, 0.0], [0.9, 0.1]]))
         with pytest.raises(ValueError):
             josec_direction([bad])
 
@@ -211,7 +211,7 @@ def _planted_common_direction_embedding(dim=50):
             pair_names.append((a, b))
         specs.append(CategorySpec(f"cat{c}" if c < 3 else "gt",
                                   tuple(pair_names)))
-    emb = make_set(words, np.vstack(rows), normalized=True)
+    emb = make_set(words, np.vstack(rows))
     return emb, specs[:3], specs[3], g
 
 
@@ -258,8 +258,7 @@ def test_mean_plan_equals_sum_plan():
     rng = np.random.default_rng(21)
     words = [f"c{c}w{j}{x}" for c in range(3) for j in range(2) for x in "ab"]
     words += [f"n{i}" for i in range(30)]
-    emb = make_set(words, unit_rows(rng.standard_normal((len(words), 12))),
-                   normalized=True)
+    emb = make_set(words, unit_rows(rng.standard_normal((len(words), 12))))
     specs = [CategorySpec(f"cat{c}", tuple((f"c{c}w{j}a", f"c{c}w{j}b")
                                            for j in range(2)))
              for c in range(3)]

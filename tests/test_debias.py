@@ -28,9 +28,9 @@ from embdebias.errors import (
 from conftest import make_set, random_orthonormal, unit_rows
 
 
-def sub(rows, label="b", orthonormal=True):
+def sub(rows, label="b"):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return BiasSubspace(label, rows, np.zeros(rows.shape[0]), orthonormal=orthonormal)
+    return BiasSubspace(label, rows, np.zeros(rows.shape[0]))
 
 
 def scalar_equalize_oracle(vectors, components):
@@ -124,7 +124,7 @@ class TestNeutralize:
 
 class TestEqualize:
     def test_hand_example(self):
-        emb = make_set(["x", "y"], np.eye(2), normalized=True)
+        emb = make_set(["x", "y"], np.eye(2))
         out = equalize(["x", "y"], sub([[1.0, 0.0]]), emb)
         root = math.sqrt(0.75)
         np.testing.assert_allclose(out["x"], [root, 0.5], atol=1e-12)
@@ -134,12 +134,12 @@ class TestEqualize:
             assert float(v @ np.array([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_identical_vectors_degenerate(self):
-        emb = make_set(["x", "y"], [[1.0, 0.0], [1.0, 0.0]], normalized=True)
+        emb = make_set(["x", "y"], [[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(EqualizeDegenerateError):
             equalize(["x", "y"], sub([[1.0, 0.0]]), emb)
 
     def test_duplicate_words_degenerate(self):
-        emb = make_set(["x"], [[1.0, 0.0]], normalized=True)
+        emb = make_set(["x"], [[1.0, 0.0]])
         with pytest.raises(EqualizeDegenerateError):
             equalize(["x", "x"], sub([[1.0, 0.0]]), emb)
 
@@ -149,7 +149,7 @@ class TestEqualize:
             equalize(["x", "y"], sub([[1.0, 0.0]]), emb)
 
     def test_too_few_resolved(self):
-        emb = make_set(["x"], [[1.0, 0.0]], normalized=True)
+        emb = make_set(["x"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="fewer than 2"):
             equalize(["x", "zz"], sub([[1.0, 0.0]]), emb)
 
@@ -160,12 +160,25 @@ class TestEqualize:
         rows = unit_rows([g,
                           g + 0.08 * np.eye(d)[1],
                           g + 0.08 * np.eye(d)[2]])
-        oblique = sub(rows, orthonormal=False)
+        oblique = sub(rows)
         x = unit_rows([g + 0.15 * np.eye(d)[1]])[0]
         y = unit_rows([g - 0.15 * np.eye(d)[1]])[0]
-        emb = make_set(["x", "y"], [x, y], normalized=True)
+        emb = make_set(["x", "y"], [x, y])
         with pytest.raises(RadicandNegativeError):
             equalize(["x", "y"], oblique, emb)
+
+    def test_nearly_coincident_members_stay_unit_and_symmetric(self):
+        # members 1e-9 apart: subtracting their two projections loses the
+        # small in-subspace difference to rounding (errors reached 5e-8)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = sub(random_orthonormal(6, 2, rng))
+            w = unit_rows([rng.standard_normal(6)])[0]
+            emb = make_set(["x", "y"], unit_rows([w, w + 1e-9 * rng.standard_normal(6)]))
+            out = np.vstack(list(equalize(["x", "y"], s, emb).values()))
+            np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+            outside = out - bias_component(out, s)
+            np.testing.assert_allclose(outside[0], outside[1], atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
@@ -174,7 +187,7 @@ class TestEqualize:
                 basis = random_orthonormal(10, k, rng)
                 vectors = unit_rows(rng.standard_normal((size, 10)))
                 words = [f"w{i}" for i in range(size)]
-                emb = make_set(words, vectors, normalized=True)
+                emb = make_set(words, vectors)
                 out = equalize(words, sub(basis), emb)
                 expected = scalar_equalize_oracle([list(map(float, v)) for v in vectors],
                                                   [list(map(float, b)) for b in basis])
@@ -186,7 +199,7 @@ class TestEqualize:
         basis = random_orthonormal(10, 2, rng)
         s = sub(basis)
         words = ["a", "b", "c"]
-        emb = make_set(words, unit_rows(rng.standard_normal((3, 10))), normalized=True)
+        emb = make_set(words, unit_rows(rng.standard_normal((3, 10))))
         out = equalize(words, s, emb)
         residuals = [v - bias_component(v, s) for v in out.values()]
         for r in residuals[1:]:
@@ -213,7 +226,7 @@ def _planted_embedding(dim=20, n_neutral=12):
         sin_b = 0.2 + 0.02 * t
         words.append(f"n{t}")
         rows.append(m * math.sqrt(1 - sin_b ** 2) + g * sin_b)
-    emb = make_set(words, np.vstack(rows), normalized=True)
+    emb = make_set(words, np.vstack(rows))
     spec = CategorySpec("gender", (("d0a", "d0b"), ("d1a", "d1b")),
                         equality_sets=(("d0a", "d0b"),))
     return emb, spec, g, [f"n{t}" for t in range(n_neutral)]
@@ -267,7 +280,7 @@ class TestHardDebias:
                                      np.eye(20)[1] - 0.5 * g,
                                      np.eye(20)[2] + 0.5 * g]),
                           emb.take(neutral)])
-        emb = make_set(words, rows, normalized=True)
+        emb = make_set(words, rows)
         spec = CategorySpec("gender", (("Man", "woman"),))
         out = run_plan(emb, [spec], DebiasPlan(
             strategy=Strategy.SINGLE, k=1, lowercase_fallback=True))
@@ -295,7 +308,7 @@ class TestHardDebias:
     def test_fully_contained_word_skipped_with_warning(self):
         emb, spec, g, _ = _planted_embedding()
         rows = np.vstack([emb.matrix, g])
-        emb2 = make_set(list(emb.vocab) + ["purebias"], rows, normalized=True)
+        emb2 = make_set(list(emb.vocab) + ["purebias"], rows)
         plan = DebiasPlan(strategy=Strategy.SINGLE, k=1)
         with pytest.warns(WordSkippedWarning, match="inside the bias subspace"):
             out = run_plan(emb2, [spec], plan)
@@ -341,7 +354,7 @@ def _two_category_embedding(orthogonal=True):
         rows.append(unit_rows([m + 0.4 * g1 + 0.3 * g2])[0])
         words.append(f"n{t}")
         neutral.append(f"n{t}")
-    emb = make_set(words, np.vstack(rows), normalized=True)
+    emb = make_set(words, np.vstack(rows))
     specs = [CategorySpec(f"cat{c}", ((f"c{c}d0a", f"c{c}d0b"),
                                       (f"c{c}d1a", f"c{c}d1b")))
              for c in range(2)]

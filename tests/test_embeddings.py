@@ -25,8 +25,10 @@ def test_load_word2vec_minimal(tmp_path):
     emb = load_embeddings(path, "word2vec-text")
     assert emb.vocab == ("a", "b")
     assert emb.dim == 3
-    assert not emb.normalized
+    assert emb.normalized  # derived: both rows are already unit-norm
     np.testing.assert_array_equal(emb.vector("a"), [1, 0, 0])
+    path.write_text("2 3\na 2 0 0\nb 0 1 0\n")
+    assert not load_embeddings(path, "word2vec-text").normalized
 
 
 def test_load_glove_infers_dim(tmp_path):
@@ -72,6 +74,18 @@ def test_extra_field_after_unicode_token_reports_its_line(tmp_path):
     path.write_text("3 2\na\u2028b 1 0\nc\u00a0d 0 1\ne 1 1 1\n", encoding="utf-8")
     with pytest.raises(DimensionMismatchError, match="line 4: 3 values, expected 2"):
         load_embeddings(path, "word2vec-text")
+
+
+@pytest.mark.parametrize("sep", ["\u00a0", "\u0085", "\u2028", "\u001c"])
+@pytest.mark.parametrize("header", ["2 2\n", ""])
+def test_unicode_whitespace_inside_a_value_is_not_a_separator(tmp_path, sep, header):
+    # str.split() would read "1<sep>2" as two values and load a as [1, 2]
+    path = tmp_path / "e.txt"
+    path.write_text(header + f"b 0 1\na 1{sep}2\n", encoding="utf-8")
+    lineno = 3 if header else 2
+    with pytest.raises((MalformedLineError, DimensionMismatchError),
+                       match=f"line {lineno}:"):
+        load_embeddings(path, "word2vec-text" if header else "glove-text")
 
 
 def test_dimension_mismatch(tmp_path):
@@ -142,6 +156,15 @@ def test_sniff_format(tmp_path):
     assert sniff_format(glove) == "glove-text"
 
 
+@pytest.mark.parametrize("blank", ["\n", "  \t\n", "\r\n\n"])
+def test_sniff_skips_leading_blank_lines(tmp_path, blank):
+    path = tmp_path / "e.txt"
+    path.write_bytes((blank + "2 3\na 1 0 0\nb 0 1 0\n").encode())
+    fmt = sniff_format(path)
+    assert fmt == "word2vec-text"
+    assert load_embeddings(path, fmt).vocab == ("a", "b")
+
+
 def test_normalize_three_four_five():
     emb = make_set(["w"], [[3.0, 4.0]])
     out = normalize(emb)
@@ -188,6 +211,17 @@ def test_save_unwritable_path(tmp_path):
         save_embeddings(emb, tmp_path / "missing_dir" / "e.txt", "glove-text")
 
 
+@pytest.mark.parametrize("word", ["new york", "tab\there", "", "line\nbreak",
+                                  "carriage\rreturn", "trailing "])
+@pytest.mark.parametrize("fmt", ["word2vec-text", "glove-text"])
+def test_save_rejects_words_that_cannot_reload(tmp_path, word, fmt):
+    emb = make_set(["ok", word], [[1.0, 0.0], [0.0, 1.0]])
+    path = tmp_path / "e.txt"
+    with pytest.raises(ValueError, match="cannot be saved"):
+        save_embeddings(emb, path, fmt)
+    assert not path.exists()
+
+
 def test_mean_norm_at_most_one_after_normalize():
     rng = np.random.default_rng(11)
     emb = normalize(make_set([f"w{i}" for i in range(40)],
@@ -213,8 +247,12 @@ class TestEmbeddingSetInvariants:
             make_set(["a", "b"], [[1.0, 0.0]])
 
     def test_normalized_flag_verified(self):
-        with pytest.raises(ValueError, match="unit-norm"):
-            make_set(["a"], [[2.0, 0.0]], normalized=True)
+        assert make_set(["a", "b"], [[0.6, 0.8], [0.0, -1.0]]).normalized
+        assert not make_set(["a", "b"], [[1.0, 0.0], [2.0, 0.0]]).normalized
+        assert make_set(["a"], [[1.0 + 5e-7, 0.0]]).normalized  # within UNIT_TOL
+        assert not make_set(["a"], [[1.0 + 2e-6, 0.0]]).normalized
+        with pytest.raises(TypeError):
+            EmbeddingSet(("a",), [[2.0, 0.0]], normalized=True)
 
     def test_matrix_read_only(self):
         emb = make_set(["a"], [[1.0, 0.0]])

@@ -111,8 +111,7 @@ class TestMacForCategory:
 
     def emb(self):
         return make_set(["a", "b", "c", "d"],
-                        unit_rows(np.random.default_rng(1).standard_normal((4, 3))),
-                        normalized=True)
+                        unit_rows(np.random.default_rng(1).standard_normal((4, 3))))
 
     def test_flattens_and_dedupes_targets(self):
         with pytest.warns(WordSkippedWarning):

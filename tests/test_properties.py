@@ -1,5 +1,7 @@
 """Numerical contracts checked as properties over generated inputs."""
 
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,19 @@ from hypothesis.extra.numpy import arrays
 
 from embdebias import (
     BiasSubspace,
+    CategorySpec,
+    DebiasPlan,
     EmbeddingSet,
+    Strategy,
     bias_component,
+    bias_subspace,
     equalize,
+    hard_debias,
     load_embeddings,
     neutralize,
+    normalize,
+    principal_components,
+    run_plan,
     save_embeddings,
 )
 from embdebias.errors import EqualizeDegenerateError
@@ -58,7 +68,7 @@ def equality_sets(draw):
     raw = draw(arrays(np.float64, (n, subspace.dim), elements=coords))
     assume((np.linalg.norm(raw, axis=1) > 1e-3).all())
     words = tuple(f"w{i}" for i in range(n))
-    return subspace, EmbeddingSet(words, unit_rows(raw), normalized=True)
+    return subspace, EmbeddingSet(words, unit_rows(raw))
 
 
 @settings(deadline=None)
@@ -100,3 +110,87 @@ def test_loader_round_trips_tokens_without_ascii_whitespace(tmp_path_factory, wo
     back = load_embeddings(path, fmt)
     assert back.vocab == tuple(words)
     np.testing.assert_array_equal(back.matrix, matrix)
+
+
+def planted_set(seed):
+    """Unit rows for three categories, each planted along its own direction,
+    plus filler words. Every category equalizes its first defining pair and
+    ``c0`` also the first pair of ``c1``, so frozen and recomputed sequential
+    subspaces differ."""
+    rng = np.random.default_rng(seed)
+    dim = 16
+    words, rows, specs = [], [], []
+    for c in range(3):
+        direction = unit_rows(rng.standard_normal((1, dim)))[0]
+        defining = []
+        for j in range(3):
+            base = unit_rows(rng.standard_normal((1, dim)))[0]
+            pair = (f"c{c}a{j}", f"c{c}b{j}")
+            words += pair
+            rows += [base + 0.5 * direction, base - 0.5 * direction]
+            defining.append(pair)
+        targets = tuple(f"c{c}t{i}" for i in range(3))
+        attributes = ((f"c{c}x", f"c{c}y"), (f"c{c}z",))
+        lexicon = targets + attributes[0] + attributes[1]
+        words += lexicon
+        rows += list(rng.standard_normal((len(lexicon), dim)))
+        equality = [defining[0]] + ([("c1a0", "c1b0")] if c == 0 else [])
+        specs.append(CategorySpec(f"c{c}", tuple(defining), tuple(equality),
+                                  (targets,), attributes))
+    words += [f"fill{i}" for i in range(20)]
+    rows += list(rng.standard_normal((20, dim)))
+    return EmbeddingSet(tuple(words), unit_rows(np.vstack(rows))), specs
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
+       order=st.permutations(["c0", "c1", "c2"]),
+       fillers=st.sets(st.integers(0, 19)),
+       kind=st.sampled_from(["seq", "frozen", "sum", "mean", "josec"]))
+def test_plan_on_a_lexicon_closure_matches_full_vocabulary(seed, k, order,
+                                                           fillers, kind):
+    emb, specs = planted_set(seed)
+    strategy = "sequential" if kind in ("seq", "frozen") else kind
+    plan = DebiasPlan(strategy=Strategy(strategy), k=k, category_order=tuple(order),
+                      frozen_subspaces=kind == "frozen")
+    closure = [w for s in specs for w in s.all_words()] + [f"fill{i}" for i in fillers]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        full = run_plan(emb, specs, plan)
+        cut = run_plan(emb.subset(closure), specs, plan)
+    assert cut.vocab == tuple(w for w in emb.vocab if w in set(closure))
+    np.testing.assert_allclose(cut.matrix, full.take(cut.vocab), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(-1e3, 1e3, allow_nan=False)))
+def test_normalize_gives_a_normalized_set(matrix):
+    assume((np.linalg.norm(matrix, axis=1) > 1e-6).all())
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(len(matrix))), matrix)
+    assert normalize(emb).normalized
+
+
+@settings(deadline=None)
+@given(matrix=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                     elements=coords),
+       k=st.integers(1, 6))
+def test_principal_components_are_orthonormal(matrix, k):
+    assume(np.abs(matrix).max() > 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert principal_components(matrix, k).orthonormal
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2))
+def test_hard_debias_with_a_pca_subspace_keeps_the_set_normalized(seed, k):
+    emb, specs = planted_set(seed)
+    assert emb.normalized
+    subspace = bias_subspace(specs[0], emb, k)
+    assert subspace.orthonormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = hard_debias(emb, subspace, DebiasPlan(strategy=Strategy.SINGLE, k=k),
+                          specs[:1])
+    assert out.normalized

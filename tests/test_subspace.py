@@ -30,21 +30,20 @@ def gram_eig_oracle(matrix, k):
 
 
 def test_centered_differences_two_point():
-    emb = make_set(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], normalized=True)
+    emb = make_set(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
     spec = CategorySpec("c", (("a", "b"),))
     rows = centered_differences(spec, emb)
     np.testing.assert_allclose(rows, [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_centered_differences_singleton_is_zero_row():
-    emb = make_set(["a"], [[1.0, 0.0]], normalized=True)
+    emb = make_set(["a"], [[1.0, 0.0]])
     rows = centered_differences(CategorySpec("c", (("a",),)), emb)
     np.testing.assert_array_equal(rows, [[0.0, 0.0]])
 
 
 def test_centered_differences_row_count():
-    emb = make_set(list("abcde"), unit_rows(np.random.default_rng(0).standard_normal((5, 3))),
-                   normalized=True)
+    emb = make_set(list("abcde"), unit_rows(np.random.default_rng(0).standard_normal((5, 3))))
     spec = CategorySpec("c", (("a", "b"), ("c", "d", "e")))
     assert centered_differences(spec, emb).shape == (5, 3)
 
@@ -56,7 +55,7 @@ def test_centered_differences_requires_normalized():
 
 
 def test_centered_differences_fatal_on_empty_set():
-    emb = make_set(["a"], [[1.0, 0.0]], normalized=True)
+    emb = make_set(["a"], [[1.0, 0.0]])
     with pytest.raises(FatalValidationError):
         centered_differences(CategorySpec("c", (("zz",),)), emb)
 
@@ -145,7 +144,7 @@ def _paired_embedding(pairs, dim, rng):
         cos_a = np.sqrt(1 - sin_a ** 2)
         words += [f"p{i}a", f"p{i}b"]
         rows += [m * cos_a + direction * sin_a, m * cos_a - direction * sin_a]
-    return make_set(words, np.vstack(rows), normalized=True)
+    return make_set(words, np.vstack(rows))
 
 
 def test_bias_subspace_planted_direction():
@@ -173,7 +172,7 @@ def test_bias_subspace_planted_plane():
 def test_bias_subspace_multiclass_matches_oracle():
     rng = np.random.default_rng(33)
     words = [f"w{i}" for i in range(9)]
-    emb = make_set(words, unit_rows(rng.standard_normal((9, 6))), normalized=True)
+    emb = make_set(words, unit_rows(rng.standard_normal((9, 6))))
     spec = CategorySpec("race", ((words[0], words[1], words[2]),
                                  (words[3], words[4], words[5]),
                                  (words[6], words[7], words[8])))
@@ -237,9 +236,12 @@ class TestBiasSubspaceInvariants:
 
     def test_orthonormality_enforced_when_flagged(self):
         comps = unit_rows(np.array([[1.0, 0.0], [0.9, 0.1]]))
-        with pytest.raises(ValueError):
-            BiasSubspace("x", comps, [0.0, 0.0])
-        BiasSubspace("x", comps, [0.0, 0.0], orthonormal=False)  # allowed
+        assert not BiasSubspace("x", comps, [0.0, 0.0]).orthonormal
+        assert BiasSubspace("x", np.eye(2), [0.0, 0.0]).orthonormal
+        nearly = unit_rows(np.array([[1.0, 0.0], [1e-9, 1.0]]))
+        assert BiasSubspace("x", nearly, [0.0, 0.0]).orthonormal  # within ORTHO_TOL
+        with pytest.raises(TypeError):
+            BiasSubspace("x", comps, [0.0, 0.0], orthonormal=False)
 
     def test_variance_must_be_sorted(self):
         with pytest.raises(ValueError):
