@@ -1,15 +1,17 @@
 """Command-line surface.
 
 Subcommands: ``subspace``, ``debias``, ``eval-mac``, ``eval-eq``,
-``validate-hypothesis``, ``report``. Options may come from a JSON config
-file (``--config``); command-line flags override config values, which
-override defaults. Exit codes: 0 success, 1 I/O failure or out of memory,
-2 validation or linear-algebra failure, 3 numerical degeneracy when
-``--strict-degenerate`` is set.
+``validate-hypothesis``, ``report``. Each subcommand's parser is the one
+definition of its options and defaults. A JSON ``--config`` maps an option's
+``dest`` (``lowercase_fallback``) to a value of its flag's JSON type, checked
+by that parser; flags override config values, which override defaults. Exit
+codes: 0 success, 1 I/O failure or out of memory, 2 validation (a bad config
+key or value included) or linear-algebra failure, 3 numerical degeneracy
+when ``--strict-degenerate`` is set.
 
 Runs that produce an output file also write ``<out>.manifest.json`` with the
-resolved configuration, its hash, and all warnings, which is enough to
-re-execute the run. Reports are deterministic: the same config (including
+subcommand's set options, their hash and all warnings; its ``config`` re-runs
+as ``--config``. Reports are deterministic: the same config (including
 ``--seed``) produces byte-identical output on the same machine.
 """
 
@@ -22,7 +24,8 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,8 @@ from .errors import (
     EmbdebiasError,
     RankDeficiencyWarning,
 )
-from .evaluate import mac_for_category, paired_t_test
+from .evaluate import (GroupOutcome, equality_differences, mac_for_category,
+                       paired_t_test)
 from .subspace import bias_subspace, save_subspace
 from .wordsets import (
     CategorySpec,
@@ -51,62 +55,52 @@ from .wordsets import (
     bundled_spec_names,
 )
 
-_STRATEGY_ALIASES = {"seq": "sequential"}
 
-_DEFAULTS = {
-    "format": None,            # None -> sniff
-    "normalize": True,
-    "lowercase_fallback": False,
-    "double_center": False,
-    "frozen_subspaces": False,
-    "strict_degenerate": False,
-    "seed": 0,
-    "strategy": "single",
-    "all_orders": False,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one run (flags > config file > defaults)."""
-
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def get(self, name, default=None):
-        return self.values.get(name, default)
-
-    def digest(self) -> str:
-        payload = json.dumps({"command": self.command, **self.values},
-                             sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` checked and converted as ``action``'s flag would be."""
+    if action.nargs == 0:
+        kind, ok = "true or false", isinstance(value, bool)
+    elif action.nargs == "+":
+        kind = "a non-empty list of strings"
+        ok = (isinstance(value, list) and bool(value)
+              and all(isinstance(v, str) for v in value))
+    elif action.type is int:
+        kind = "an integer"
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise EmbdebiasError(
+            f"config key {key!r} takes {kind}, got {json.dumps(value)}")
+    if action.nargs == 0:
+        return value
+    items = [action.type(v) if action.type else v
+             for v in (value if action.nargs == "+" else [value])]
+    for v in items:
+        if action.choices is not None and v not in action.choices:
+            raise EmbdebiasError(f"config key {key!r}: invalid choice {v!r} "
+                                 f"(choose from {', '.join(action.choices)})")
+    return items if action.nargs == "+" else items[0]
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise EmbdebiasError(f"{config_path}: not valid JSON ({exc})") from None
-        if not isinstance(file_values, dict):
-            raise EmbdebiasError(f"{config_path}: config must be a JSON object")
-        values.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("config", "func", "command"):
-            continue
-        if value is not None:
-            values[key] = value
-    strategy = values.get("strategy")
-    if strategy in _STRATEGY_ALIASES:
-        values["strategy"] = _STRATEGY_ALIASES[strategy]
-    if values.get("all_orders") and values.get("order"):
-        raise EmbdebiasError("--order and --all-orders are mutually exclusive")
-    if values.get("debiased") and values.get("pipeline"):
-        raise EmbdebiasError("--debiased and --pipeline are mutually exclusive")
-    return RunConfig(command=args.command, values=values)
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The JSON object in ``path``; each key is the ``dest`` of one of
+    ``parser``'s options and its value is checked as that flag's would be."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise EmbdebiasError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(values, dict):
+        raise EmbdebiasError(f"{path}: config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    for key in values:
+        if key not in actions:
+            raise EmbdebiasError(
+                f"config key {key!r} is not an option of '{parser.prog}'")
+    return {key: _config_value(actions[key], key, value)
+            for key, value in values.items()}
 
 
 def _load_spec(path_or_name: str) -> CategorySpec:
@@ -119,17 +113,17 @@ def _load_spec(path_or_name: str) -> CategorySpec:
         f"no such spec file or bundled lexicon: {path_or_name}")
 
 
-def _load_emb(cfg: RunConfig, path: str | None = None) -> EmbeddingSet:
+def _load_emb(args: Namespace, path: str | None = None) -> EmbeddingSet:
     """Load ``path`` (default: ``--embeddings``) under the run's format and
     normalization options."""
-    path = path or cfg.get("embeddings")
+    path = path or args.embeddings
     if not path:
         raise EmbdebiasError("--embeddings is required")
     if not Path(path).is_file():
         raise EmbdebiasError(f"no such embedding file: {path}")
-    fmt = cfg.get("format") or sniff_format(path)
+    fmt = args.format or sniff_format(path)
     emb = load_embeddings(path, fmt)
-    if cfg.get("normalize"):
+    if args.normalize:
         return normalize(emb)
     if not emb.normalized:
         raise EmbdebiasError(
@@ -139,71 +133,68 @@ def _load_emb(cfg: RunConfig, path: str | None = None) -> EmbeddingSet:
     return emb
 
 
-def _specs(cfg: RunConfig) -> list[CategorySpec]:
-    paths = cfg.get("specs") or cfg.get("spec") or []
-    if isinstance(paths, str):
-        paths = [paths]
+def _specs(args: Namespace) -> list[CategorySpec]:
+    paths = getattr(args, "specs", None) or getattr(args, "spec", None)
     if not paths:
         raise EmbdebiasError("at least one category spec is required")
     return [_load_spec(p) for p in paths]
 
 
-def _require_k(cfg: RunConfig) -> int:
-    k = cfg.get("k")
-    if k is None:
+def _require_k(args: Namespace) -> int:
+    if args.k is None:
         raise EmbdebiasError(
             "--k is required (suggestion: 1 for binary categories, 2 for "
             "multi-class ones)")
-    return int(k)
+    return args.k
 
 
-def _write_manifest(cfg: RunConfig, outputs: list[str], notes: list[str],
+def _write_manifest(args: Namespace, outputs: list[str], notes: list[str],
                     captured: list[str]) -> None:
-    target = cfg.get("manifest")
-    if not target:
-        if not outputs:
-            return
-        target = outputs[0] + ".manifest.json"
+    if not (args.manifest or outputs):
+        return
+    target = args.manifest or outputs[0] + ".manifest.json"
+    # the subcommand's own options that are set; --config re-runs them
+    config = {k: v for k, v in sorted(vars(args).items())
+              if v is not None and k not in ("config", "func", "command")}
+    digest = json.dumps({"command": args.command, **config}, sort_keys=True)
     manifest = {
-        "command": cfg.command,
-        "config": {k: v for k, v in sorted(cfg.values.items())},
-        "config_sha256": cfg.digest(),
+        "command": args.command,
+        "config": config,
+        "config_sha256": hashlib.sha256(digest.encode()).hexdigest(),
         "version": __version__,
         "outputs": outputs,
         "notes": notes,
         "warnings": captured,
     }
     with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit(cfg: RunConfig, text: str) -> list[str]:
+def _emit(args: Namespace, text: str) -> list[str]:
     print(text)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        return [str(out)]
-    return []
+    if not args.out:
+        return []
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+    return [args.out]
 
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_subspace(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    emb = _load_emb(cfg)
-    specs = _specs(cfg)
-    k = _require_k(cfg)
-    out = cfg.get("out")
+def cmd_subspace(args: Namespace) -> tuple[list[str], list[str]]:
+    emb = _load_emb(args)
+    specs = _specs(args)
+    k = _require_k(args)
+    out = args.out
     if not out:
         raise EmbdebiasError("--out is required")
-    kwargs = dict(double_center=cfg.get("double_center"),
-                  lowercase_fallback=cfg.get("lowercase_fallback"))
+    kwargs = dict(double_center=args.double_center,
+                  lowercase_fallback=args.lowercase_fallback)
     notes = []
-    strategy = cfg.get("strategy", "single")
-    if strategy in ("sum", "mean", "josec"):
+    if args.strategy in ("sum", "mean", "josec"):
         subspaces = [bias_subspace(s, emb, k, **kwargs) for s in specs]
-        result = compose(strategy, subspaces)
+        result = compose(args.strategy, subspaces)
         save_subspace(result.subspace, out)
         if result.objective_value is not None:
             print(f"objective value: {result.objective_value:.12g}")
@@ -213,7 +204,7 @@ def cmd_subspace(cfg: RunConfig) -> tuple[list[str], list[str]]:
                 print(f"distance to {b.label}: {dist:.12g}")
         print(f"wrote {result.subspace.label} ({result.subspace.k} x "
               f"{result.subspace.dim}) to {out}")
-        return [str(out)], notes
+        return [out], notes
     if len(specs) != 1:
         raise EmbdebiasError(
             "strategy 'single' takes exactly one spec; use sum/mean/josec "
@@ -223,26 +214,22 @@ def cmd_subspace(cfg: RunConfig) -> tuple[list[str], list[str]]:
     variances = " ".join(f"{v:.6g}" for v in sub.explained_variance)
     print(f"wrote {sub.label} ({sub.k} x {sub.dim}) to {out}; "
           f"explained variance: {variances}")
-    return [str(out)], notes
+    return [out], notes
 
 
-def _plan_from_config(cfg: RunConfig) -> DebiasPlan:
+def _plan_from_config(args: Namespace) -> DebiasPlan:
     neutral = None
-    neutral_path = cfg.get("neutral_words")
-    if neutral_path:
-        with open(neutral_path, encoding="utf-8") as fh:
+    if args.neutral_words:
+        with open(args.neutral_words, encoding="utf-8") as fh:
             neutral = tuple(w for w in fh.read().split() if w)
-    order = cfg.get("order")
-    if isinstance(order, str):
-        order = tuple(x for x in order.split(",") if x)
     return DebiasPlan(
-        strategy=Strategy(cfg.get("strategy", "single")),
-        k=_require_k(cfg),
-        category_order=tuple(order or ()),
+        strategy=Strategy(args.strategy),
+        k=_require_k(args),
+        category_order=tuple(x for x in (args.order or "").split(",") if x),
         neutral_words=neutral,
-        frozen_subspaces=cfg.get("frozen_subspaces"),
-        lowercase_fallback=cfg.get("lowercase_fallback"),
-        double_center=cfg.get("double_center"),
+        frozen_subspaces=args.frozen_subspaces,
+        lowercase_fallback=args.lowercase_fallback,
+        double_center=args.double_center,
     )
 
 
@@ -251,17 +238,17 @@ def _order_suffix(path: str, order) -> str:
     return str(p.with_name(p.stem + "." + "-".join(order) + p.suffix))
 
 
-def cmd_debias(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    emb = _load_emb(cfg)
-    specs = _specs(cfg)
-    out = cfg.get("out")
+def cmd_debias(args: Namespace) -> tuple[list[str], list[str]]:
+    emb = _load_emb(args)
+    specs = _specs(args)
+    out = args.out
     if not out:
         raise EmbdebiasError("--out is required")
     # output format follows the input unless given explicitly
-    fmt = cfg.get("format") or sniff_format(cfg.get("embeddings"))
-    plan = _plan_from_config(cfg)
+    fmt = args.format or sniff_format(args.embeddings)
+    plan = _plan_from_config(args)
     outputs, notes = [], []
-    if cfg.get("all_orders"):
+    if args.all_orders:
         if plan.strategy is not Strategy.SEQUENTIAL:
             raise EmbdebiasError("--all-orders requires --strategy seq")
         for order in itertools.permutations([s.name for s in specs]):
@@ -278,7 +265,7 @@ def cmd_debias(cfg: RunConfig) -> tuple[list[str], list[str]]:
     save_embeddings(result, out, fmt)
     print(f"wrote {out}")
     notes.append(f"strategy={plan.strategy.value}")
-    return [str(out)], notes
+    return [out], notes
 
 
 def _write_f_table(path, reports) -> None:
@@ -292,14 +279,14 @@ def _write_f_table(path, reports) -> None:
                                      "%.12g" % report.table[i, j]])
 
 
-def cmd_eval_mac(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    emb = _load_emb(cfg)
-    specs = _specs(cfg)
-    lf = cfg.get("lowercase_fallback")
+def cmd_eval_mac(args: Namespace) -> tuple[list[str], list[str]]:
+    emb = _load_emb(args)
+    specs = _specs(args)
+    lf = args.lowercase_fallback
     reports = [mac_for_category(s, emb, lf) for s in specs]
     baseline_reports = None
-    if cfg.get("baseline"):
-        base = _load_emb(cfg, cfg.get("baseline"))
+    if args.baseline:
+        base = _load_emb(args, args.baseline)
         baseline_reports = [mac_for_category(s, base, lf) for s in specs]
     lines = []
     header = "category        MAC" + ("      delta" if baseline_reports else "")
@@ -318,18 +305,15 @@ def cmd_eval_mac(cfg: RunConfig) -> tuple[list[str], list[str]]:
     if baseline_reports:
         row += f" {total - base_total:>+10.6f}"
     lines.append(row)
-    outputs = _emit(cfg, "\n".join(lines))
-    table_path = cfg.get("f_table")
-    if table_path:
-        _write_f_table(table_path, reports)
-        outputs.append(str(table_path))
+    outputs = _emit(args, "\n".join(lines))
+    if args.f_table:
+        _write_f_table(args.f_table, reports)
+        outputs.append(args.f_table)
     return outputs, []
 
 
-def cmd_eval_eq(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    from .evaluate import GroupOutcome, equality_differences
-
-    counts_path = cfg.get("counts")
+def cmd_eval_eq(args: Namespace) -> tuple[list[str], list[str]]:
+    counts_path = args.counts
     if not counts_path:
         raise EmbdebiasError("--counts CSV is required")
     if not Path(counts_path).is_file():
@@ -354,19 +338,18 @@ def cmd_eval_eq(cfg: RunConfig) -> tuple[list[str], list[str]]:
     result = equality_differences(groups, overall)
     text = (f"FPED  {result.fped:.6f}\nFNED  {result.fned:.6f}\n"
             f"Total {result.fped + result.fned:.6f}")
-    outputs = _emit(cfg, text)
-    return outputs, []
+    return _emit(args, text), []
 
 
-def _hypothesis(cfg: RunConfig, specs, emb) -> tuple[str, list[str]]:
+def _hypothesis(args: Namespace, specs, emb) -> tuple[str, list[str]]:
     """Run ``validate_hypothesis`` against ``--ground-truth`` and write
     ``--projection-csv``; returns the summary and the paths written."""
-    ground_truth = _load_spec(cfg.get("ground_truth"))
+    ground_truth = _load_spec(args.ground_truth)
     report = validate_hypothesis(
-        specs, ground_truth, emb, _require_k(cfg), seed=int(cfg.get("seed", 0)),
-        lowercase_fallback=cfg.get("lowercase_fallback"),
-        double_center=cfg.get("double_center"))
-    proj = cfg.get("projection_csv")
+        specs, ground_truth, emb, _require_k(args), seed=args.seed,
+        lowercase_fallback=args.lowercase_fallback,
+        double_center=args.double_center)
+    proj = args.projection_csv
     if not proj:
         return report.summary(), []
     with open(proj, "w", encoding="utf-8", newline="") as fh:
@@ -374,16 +357,16 @@ def _hypothesis(cfg: RunConfig, specs, emb) -> tuple[str, list[str]]:
         writer.writerow(["label", "component_index", "x", "y", "z"])
         for label, idx, x, y, z in report.projection_rows:
             writer.writerow([label, idx, "%.12g" % x, "%.12g" % y, "%.12g" % z])
-    return report.summary(), [str(proj)]
+    return report.summary(), [proj]
 
 
-def cmd_validate_hypothesis(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    emb = _load_emb(cfg)
-    specs = _specs(cfg)
-    if not cfg.get("ground_truth"):
+def cmd_validate_hypothesis(args: Namespace) -> tuple[list[str], list[str]]:
+    emb = _load_emb(args)
+    specs = _specs(args)
+    if not args.ground_truth:
         raise EmbdebiasError("--ground-truth spec is required")
-    summary, written = _hypothesis(cfg, specs, emb)
-    return _emit(cfg, summary) + written, []
+    summary, written = _hypothesis(args, specs, emb)
+    return _emit(args, summary) + written, []
 
 
 def _mac_row(label, reports) -> str:
@@ -398,10 +381,10 @@ def _mac_record(reports) -> dict:
     return record
 
 
-def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    emb = _load_emb(cfg)
-    specs = _specs(cfg)
-    lf = cfg.get("lowercase_fallback")
+def cmd_report(args: Namespace) -> tuple[list[str], list[str]]:
+    emb = _load_emb(args)
+    specs = _specs(args)
+    lf = args.lowercase_fallback
     notes = []
     lines = []
     records: dict[str, dict] = {}
@@ -411,8 +394,8 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
     lines.append(_mac_row("biased", biased))
     records["biased"] = _mac_record(biased)
 
-    if cfg.get("debiased"):
-        debiased_emb = _load_emb(cfg, cfg.get("debiased"))
+    if args.debiased:
+        debiased_emb = _load_emb(args, args.debiased)
         debiased = [mac_for_category(s, debiased_emb, lf) for s in specs]
         lines.append(_mac_row("debiased", debiased))
         records["debiased"] = _mac_record(debiased)
@@ -422,16 +405,16 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
             result = paired_t_test(before.table.ravel(), after.table.ravel())
             lines.append(f"{before.category:<12} {after.mac - before.mac:>+8.6f} "
                          f"{result.t:>9.4f} {result.p:>8.4g} {result.df:>3d}")
-    elif cfg.get("pipeline"):
-        k = _require_k(cfg)
+    elif args.pipeline:
+        k = _require_k(args)
         names = [s.name for s in specs]
         # 2-letter abbreviations unless they collide
         short = {n: n[:2] for n in names}
         if len(set(short.values())) != len(names):
             short = {n: n for n in names}
         base = DebiasPlan(strategy=Strategy.SEQUENTIAL, k=k, lowercase_fallback=lf,
-                          double_center=cfg.get("double_center"),
-                          frozen_subspaces=cfg.get("frozen_subspaces"))
+                          double_center=args.double_center,
+                          frozen_subspaces=args.frozen_subspaces)
         strategies = [("hard_seq(" + ">".join(short[o] for o in order) + ")",
                        replace(base, category_order=order))
                       for order in itertools.permutations(names)]
@@ -462,22 +445,25 @@ def cmd_report(cfg: RunConfig) -> tuple[list[str], list[str]]:
             notes.append(f"best_sequential={best_label}")
 
     written = []
-    if cfg.get("ground_truth"):
-        summary, written = _hypothesis(cfg, specs, emb)
+    if args.ground_truth:
+        summary, written = _hypothesis(args, specs, emb)
         lines.append("")
         lines.append(summary)
 
-    outputs = _emit(cfg, "\n".join(lines)) + written
-    json_path = cfg.get("json")
-    if json_path:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+    outputs = _emit(args, "\n".join(lines)) + written
+    if args.json:
+        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(records, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        outputs.append(str(json_path))
+        outputs.append(args.json)
     return outputs, notes
 
 
 # --- parser ------------------------------------------------------------------
+
+def _strategy(name: str) -> str:
+    return "sequential" if name == "seq" else name
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
@@ -485,19 +471,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["word2vec-text", "glove-text"],
                    help="embedding format (default: sniffed from the file)")
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="unit-normalize rows after loading (default: on)")
+                   default=True,
+                   help="unit-normalize rows after loading (default: %(default)s)")
     p.add_argument("--lowercase-fallback", dest="lowercase_fallback",
-                   action=argparse.BooleanOptionalAction, default=None,
+                   action=argparse.BooleanOptionalAction, default=False,
                    help="fall back to lowercase when resolving words")
     p.add_argument("--double-center", dest="double_center",
-                   action=argparse.BooleanOptionalAction, default=None,
+                   action=argparse.BooleanOptionalAction, default=False,
                    help="also remove the global row mean before the subspace "
                         "decomposition")
     p.add_argument("--strict-degenerate", dest="strict_degenerate",
-                   action=argparse.BooleanOptionalAction, default=None,
+                   action=argparse.BooleanOptionalAction, default=False,
                    help="treat rank deficiency / tied optima as fatal (exit 3)")
-    p.add_argument("--seed", type=int, help="random seed (default: 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed (default: %(default)s)")
     p.add_argument("--out", help="output path")
     p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
@@ -516,22 +503,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="category spec file(s) or bundled lexicon name(s)")
     p.add_argument("--k", type=int, help="number of components per category")
     p.add_argument("--strategy", choices=["single", "sum", "mean", "josec"],
-                   help="compose multiple categories (default: single)")
+                   default="single",
+                   help="compose multiple categories (default: %(default)s)")
     p.set_defaults(func=cmd_subspace)
 
     p = sub.add_parser("debias", help="remove bias components from embeddings")
     _add_common(p)
     p.add_argument("--specs", dest="specs", nargs="+",
                    help="category spec file(s) or bundled lexicon name(s)")
-    p.add_argument("--strategy",
-                   choices=["single", "seq", "sequential", "sum", "mean", "josec"])
+    p.add_argument("--strategy", type=_strategy, default="single",
+                   choices=["single", "sequential", "sum", "mean", "josec"],
+                   help="seq is short for sequential (default: %(default)s)")
     p.add_argument("--k", type=int, help="number of components per category")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--order", help="comma-separated category order (seq)")
-    group.add_argument("--all-orders", dest="all_orders", action="store_const",
-                       const=True, help="run every category order (seq)")
+    p.add_argument("--order", help="comma-separated category order (seq)")
+    p.add_argument("--all-orders", dest="all_orders", action="store_true",
+                   help="run every category order (seq)")
     p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
-                   action=argparse.BooleanOptionalAction, default=None,
+                   action=argparse.BooleanOptionalAction, default=False,
                    help="build each sequential step's subspace on the input "
                         "instead of on the output of the steps before it; the "
                         "two coincide unless an earlier step equalizes a later "
@@ -571,12 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--specs", dest="specs", nargs="+")
     p.add_argument("--debiased", help="debiased embedding file to compare against")
-    p.add_argument("--pipeline", action="store_const", const=True,
+    p.add_argument("--pipeline", action="store_true",
                    help="run every strategy (sequential all orders, sum, mean, "
                         "josec) on the lexicon rows and report MACs")
     p.add_argument("--k", type=int)
     p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
-                   action=argparse.BooleanOptionalAction, default=None)
+                   action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--ground-truth", dest="ground_truth",
                    help="add the hypothesis-validation section")
     p.add_argument("--projection-csv", dest="projection_csv")
@@ -591,14 +579,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        if args.config:
+            # checked config values become the subcommand's defaults, so a
+            # second parse gives flags > config > defaults
+            command = next(a for a in parser._actions if isinstance(
+                a, argparse._SubParsersAction)).choices[args.command]
+            command.set_defaults(**_read_config(command, args.config))
+            args = parser.parse_args(argv)
+        if getattr(args, "order", None) and getattr(args, "all_orders", False):
+            raise EmbdebiasError("--order and --all-orders are mutually exclusive")
+        if getattr(args, "debiased", None) and getattr(args, "pipeline", False):
+            raise EmbdebiasError("--debiased and --pipeline are mutually exclusive")
     except (EmbdebiasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
         try:
-            outputs, notes = args.func(cfg)
+            outputs, notes = args.func(args)
         except (EmbdebiasError, ValueError, np.linalg.LinAlgError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -606,7 +604,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError:
-            print(f"error: out of memory in '{cfg.command}'; the embedding "
+            print(f"error: out of memory in '{args.command}'; the embedding "
                   "matrix and its debiased copies must fit in RAM",
                   file=sys.stderr)
             return 1
@@ -614,11 +612,11 @@ def main(argv=None) -> int:
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
     try:
-        _write_manifest(cfg, outputs, notes, messages)
+        _write_manifest(args, outputs, notes, messages)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.get("strict_degenerate") and any(
+    if args.strict_degenerate and any(
             issubclass(w.category, (RankDeficiencyWarning, DegenerateTieWarning))
             for w in captured):
         print("error: numerical degeneracy treated as fatal "

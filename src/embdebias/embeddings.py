@@ -212,17 +212,18 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
 
 
 def sniff_format(path) -> str:
-    """Guess the format: a first non-blank line of exactly two integers is
-    word2vec-text."""
+    """Guess the format: word2vec-text when the first non-blank line is two
+    integers ``<count> <dim>`` followed by no line or one of ``dim + 1`` fields."""
     with open(path, encoding="utf-8") as fh:
-        first = next((ln for ln in fh if not _is_blank(ln)), "")
-    fields = first.split()
-    if len(fields) == 2:
+        lines = (ln.rstrip("\n") for ln in fh if not _is_blank(ln))
+        fields = next(lines, "").split()
         try:
-            int(fields[0]), int(fields[1])
-            return "word2vec-text"
+            _, dim = map(int, fields)
         except ValueError:
-            pass
+            return "glove-text"
+        data = next(lines, None)
+    if data is None or len(_fields(data, dim)) == dim + 1:
+        return "word2vec-text"
     return "glove-text"
 
 

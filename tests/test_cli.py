@@ -320,6 +320,50 @@ def test_order_and_all_orders_mutually_exclusive(workspace, tmp_path, capsys):
                  "--k", "1", "--out", str(tmp_path / "x.txt")])
     assert code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+    code = main(["debias", "--embeddings", workspace["emb"],
+                 "--specs", *workspace["specs"], "--strategy", "seq",
+                 "--order", "cat0,cat1", "--all-orders",
+                 "--k", "1", "--out", str(tmp_path / "x.txt")])
+    assert code == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["subspace", "debias", "eval-mac",
+                                     "validate-hypothesis", "report"])
+def test_manifest_config_reruns_the_command(workspace, tmp_path, command):
+    # the manifest's config alone, fed back as --config, repeats the run
+    specs = workspace["specs"]
+    args = {
+        "subspace": ["--spec", *specs, "--k", "1", "--strategy", "josec"],
+        "debias": ["--specs", *specs, "--strategy", "seq",
+                   "--order", "cat1,cat0", "--k", "1", "--lowercase-fallback"],
+        "eval-mac": ["--specs", *specs, "--baseline", workspace["emb"]],
+        "validate-hypothesis": ["--specs", *specs, "--ground-truth",
+                                workspace["gt"], "--k", "1", "--seed", "7"],
+        "report": ["--specs", *specs, "--pipeline", "--k", "1",
+                   "--no-normalize"],
+    }[command]
+
+    def outputs(run):
+        paths = [tmp_path / f"{run}.txt", tmp_path / f"{run}.json"]
+        paths = paths if command == "report" else paths[:1]
+        flags = [x for flag, path in zip(("--out", "--json"), paths)
+                 for x in (flag, str(path))]
+        return paths, flags
+
+    first, first_flags = outputs("first")
+    again, again_flags = outputs("again")
+    assert main([command, "--embeddings", workspace["emb"], *args,
+                 *first_flags]) == 0
+    manifest = json.loads((tmp_path / "first.txt.manifest.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(manifest["config"]))
+    assert main([command, "--config", str(config), *again_flags]) == 0
+    for a, b in zip(first, again):
+        assert a.read_bytes() == b.read_bytes()
+    rerun = json.loads((tmp_path / "again.txt.manifest.json").read_text())
+    assert rerun["config"] == {**manifest["config"],
+                               **dict(zip(("out", "json"), map(str, again)))}
 
 
 def test_unwritable_output_exits_1(workspace, tmp_path, capsys):

@@ -154,6 +154,16 @@ def test_sniff_format(tmp_path):
     glove.write_text("a 1 0 0\nb 0 1 0\n")
     assert sniff_format(w2v) == "word2vec-text"
     assert sniff_format(glove) == "glove-text"
+    # a first line of two integers is a header only if the next line fits it
+    numeric_glove = tmp_path / "c.txt"
+    numeric_glove.write_text("3 5\n4 6\n")
+    assert sniff_format(numeric_glove) == "glove-text"
+    assert load_embeddings(numeric_glove, "glove-text").vocab == ("3", "4")
+    # a token holding U+00A0 is one field, as the loader reads it
+    nbsp = tmp_path / "d.txt"
+    nbsp.write_text("2 3\na\u00a0b 1 0 0\nc 0 1 0\n", encoding="utf-8")
+    assert sniff_format(nbsp) == "word2vec-text"
+    assert load_embeddings(nbsp, "word2vec-text").vocab == ("a\u00a0b", "c")
 
 
 @pytest.mark.parametrize("blank", ["\n", "  \t\n", "\r\n\n"])

@@ -1,9 +1,13 @@
-"""Numerical contracts checked as properties over generated inputs."""
+"""Numerical contracts and the config contract checked as properties over
+generated inputs."""
 
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +28,7 @@ from embdebias import (
     run_plan,
     save_embeddings,
 )
+from embdebias.cli import build_parser, main
 from embdebias.errors import EqualizeDegenerateError
 
 from conftest import unit_rows
@@ -194,3 +199,83 @@ def test_hard_debias_with_a_pca_subspace_keeps_the_set_normalized(seed, k):
         out = hard_debias(emb, subspace, DebiasPlan(strategy=Strategy.SINGLE, k=k),
                           specs[:1])
     assert out.normalized
+
+
+# The JSON type each config key takes, per subcommand, written out here
+# independently of the parser that checks it.
+COMMON_OPTIONS = {"embeddings": str, "format": str, "normalize": bool,
+                   "lowercase_fallback": bool, "double_center": bool,
+                   "strict_degenerate": bool, "seed": int, "out": str,
+                   "manifest": str}
+CONFIG_OPTIONS = {
+    "subspace": {"spec": list, "k": int, "strategy": str},
+    "debias": {"specs": list, "strategy": str, "k": int, "order": str,
+               "all_orders": bool, "frozen_subspaces": bool,
+               "neutral_words": str},
+    "eval-mac": {"specs": list, "baseline": str, "f_table": str},
+    "eval-eq": {"counts": str},
+    "validate-hypothesis": {"specs": list, "ground_truth": str, "k": int,
+                            "projection_csv": str},
+    "report": {"specs": list, "debiased": str, "pipeline": bool, "k": int,
+               "frozen_subspaces": bool, "ground_truth": str,
+               "projection_csv": str, "json": str},
+}
+# JSON values by kind; a generated list is empty or holds no strings, so it is
+# the wrong kind for every key
+_JSON_VALUES = {
+    int: st.integers(-10, 10),
+    float: st.floats(-10, 10, allow_nan=False),
+    bool: st.booleans(),
+    str: st.text(max_size=5),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    type(None): st.none(),
+}
+
+
+def test_config_options_are_the_parsers_dests():
+    sub = next(a for a in build_parser()._actions if a.choices)
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "config")}
+        assert dests == set(COMMON_OPTIONS) | set(CONFIG_OPTIONS[command])
+
+
+@st.composite
+def wrong_type_configs(draw):
+    """(subcommand, key, value): an option given a JSON value of the wrong
+    kind, or an unknown key."""
+    command = draw(st.sampled_from(sorted(CONFIG_OPTIONS)))
+    options = {**COMMON_OPTIONS, **CONFIG_OPTIONS[command]}
+    unknown = st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+        lambda k: k not in options)
+    key = draw(st.sampled_from(sorted(options)) | unknown)
+    kinds = [t for t in _JSON_VALUES if t is not options.get(key) or t is list]
+    value = draw(st.sampled_from(kinds).flatmap(_JSON_VALUES.get))
+    return command, key, value
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=wrong_type_configs())
+@example(case=("debias", "k", [2]))
+@example(case=("debias", "specs", 5))
+@example(case=("debias", "embeddings", ["e.txt"]))
+@example(case=("debias", "out", 7))
+@example(case=("debias", "neutral_words", 3))
+@example(case=("debias", "k", True))
+@example(case=("debias", "k", 1.7))
+@example(case=("debias", "normalize", "false"))
+@example(case=("debias", "frozen_subspace", True))
+@example(case=("debias", "pipeline", True))
+@example(case=("report", "specs", []))
+@example(case=("subspace", "seed", None))
+def test_config_of_the_wrong_type_exits_2(tmp_path_factory, case):
+    command, key, value = case
+    config = tmp_path_factory.mktemp("cfg") / "c.json"
+    config.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(config)]) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and repr(key) in lines[0]
