@@ -53,6 +53,7 @@ from .wordsets import (
     load_bundled_spec,
     load_category_spec,
     bundled_spec_names,
+    lexicon_words,
 )
 
 
@@ -420,14 +421,10 @@ def cmd_report(args: Namespace) -> tuple[list[str], list[str]]:
                       for order in itertools.permutations(names)]
         strategies += [(name, replace(base, strategy=Strategy(name)))
                        for name in ("sum", "mean", "josec")]
-        # Under the default neutral rule every row outside the lexicon is
-        # neutralized on its own and never read again: subspaces and equalize
-        # read the defining and equality rows, MAC the target and attribute
-        # rows. So the plans run on the lexicon rows only.
-        lexicon = {w for s in specs for w in s.all_words()}
-        if lf:
-            lexicon |= {w.lower() for w in lexicon}
-        closure = emb.subset(lexicon)
+        # Only the lexicon rows are read again after debiasing (MAC reads
+        # the target and attribute rows), so the plans run on those rows and
+        # each run_plan is its fit alone.
+        closure = emb.subset(lexicon_words(specs, lf))
         notes.append(f"debiased_rows={len(closure)}/{len(emb)}")
         best_label, best_total = None, -np.inf
         for label, plan in strategies:
@@ -467,6 +464,16 @@ def _strategy(name: str) -> str:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--strict-degenerate", dest="strict_degenerate",
+                   action=argparse.BooleanOptionalAction, default=False,
+                   help="treat rank deficiency / tied optima as fatal (exit 3)")
+    p.add_argument("--out", help="output path")
+    p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+
+
+def _add_embedding_options(p: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that load an embedding file."""
+    _add_common(p)
     p.add_argument("--embeddings", help="embedding file path")
     p.add_argument("--format", choices=["word2vec-text", "glove-text"],
                    help="embedding format (default: sniffed from the file)")
@@ -480,13 +487,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    action=argparse.BooleanOptionalAction, default=False,
                    help="also remove the global row mean before the subspace "
                         "decomposition")
-    p.add_argument("--strict-degenerate", dest="strict_degenerate",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="treat rank deficiency / tied optima as fatal (exit 3)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default: %(default)s)")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("subspace", help="build and serialize bias subspaces")
-    _add_common(p)
+    _add_embedding_options(p)
     p.add_argument("--spec", dest="spec", nargs="+",
                    help="category spec file(s) or bundled lexicon name(s)")
     p.add_argument("--k", type=int, help="number of components per category")
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subspace)
 
     p = sub.add_parser("debias", help="remove bias components from embeddings")
-    _add_common(p)
+    _add_embedding_options(p)
     p.add_argument("--specs", dest="specs", nargs="+",
                    help="category spec file(s) or bundled lexicon name(s)")
     p.add_argument("--strategy", type=_strategy, default="single",
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_debias)
 
     p = sub.add_parser("eval-mac", help="MAC per category (optionally vs a baseline)")
-    _add_common(p)
+    _add_embedding_options(p)
     p.add_argument("--specs", dest="specs", nargs="+")
     p.add_argument("--baseline", help="baseline embedding file for deltas")
     p.add_argument("--f-table", dest="f_table",
@@ -546,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-hypothesis",
                        help="compare composed directions against a ground-truth "
                             "intersectional subspace")
-    _add_common(p)
+    _add_embedding_options(p)
     p.add_argument("--specs", dest="specs", nargs="+")
     p.add_argument("--ground-truth", dest="ground_truth",
                    help="spec file with intersectional defining sets")
@@ -556,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate_hypothesis)
 
     p = sub.add_parser("report", help="consolidated MAC / significance report")
-    _add_common(p)
+    _add_embedding_options(p)
     p.add_argument("--specs", dest="specs", nargs="+")
     p.add_argument("--debiased", help="debiased embedding file to compare against")
     p.add_argument("--pipeline", action="store_true",

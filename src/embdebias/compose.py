@@ -23,6 +23,7 @@ from .embeddings import ZERO_NORM, EmbeddingSet
 from .errors import (
     DegenerateTieWarning,
     NotUnitError,
+    RankDeficiencyWarning,
     ShapeMismatchError,
     ZeroRowError,
 )
@@ -53,24 +54,32 @@ class CompositionResult:
     degenerate_tie: bool = False
 
 
-def _check_same_shape(subspaces: Sequence[BiasSubspace]):
+def _check_same_dim(subspaces: Sequence[BiasSubspace]) -> None:
     if not subspaces:
         raise ValueError("at least one subspace is required")
-    k, d = subspaces[0].k, subspaces[0].dim
+    d = subspaces[0].dim
     for b in subspaces[1:]:
-        if b.k != k or b.dim != d:
+        if b.dim != d:
             raise ShapeMismatchError(
-                f"subspace {b.label!r} is {b.k}x{b.dim}, expected {k}x{d}")
+                f"subspace {b.label!r} has dimension {b.dim}, expected {d}")
 
 
 def subspace_sum(subspaces: Sequence[BiasSubspace]) -> BiasSubspace:
     """Entrywise sum of component matrices, rows renormalized to unit length.
 
+    Subspaces with different numbers of components are summed over the
+    leading ``min K`` components, with a RankDeficiencyWarning.
     Cross-orthogonality is deliberately not restored; the result reflects the
     naive linear composition.
     """
-    _check_same_shape(subspaces)
-    total = np.sum([b.components for b in subspaces], axis=0)
+    _check_same_dim(subspaces)
+    k = min(b.k for b in subspaces)
+    if any(b.k != k for b in subspaces):
+        warnings.warn(
+            "SUM/MEAN composes the leading {} component(s) of {}".format(
+                k, ", ".join(f"{b.label} ({b.k})" for b in subspaces)),
+            RankDeficiencyWarning, stacklevel=2)
+    total = np.sum([b.components[:k] for b in subspaces], axis=0)
     norms = np.linalg.norm(total, axis=1)
     dead = np.nonzero(norms < ZERO_NORM)[0]
     if dead.size:
@@ -123,13 +132,7 @@ def josec_direction(subspaces: Sequence[BiasSubspace]) -> CompositionResult:
     within TIE_RTOL relative, the optimum is not unique; the numerically
     first direction is returned and the result is flagged.
     """
-    if not subspaces:
-        raise ValueError("at least one subspace is required")
-    d = subspaces[0].dim
-    for b in subspaces[1:]:
-        if b.dim != d:
-            raise ShapeMismatchError(
-                f"subspace {b.label!r} has dimension {b.dim}, expected {d}")
+    _check_same_dim(subspaces)
     for b in subspaces:
         if not b.orthonormal:
             raise ValueError(f"subspace {b.label!r} is not orthonormal")

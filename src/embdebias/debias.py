@@ -22,6 +22,13 @@ per plan. Under the default neutral rule defining words are never
 neutralized, so frozen and recomputed subspaces coincide unless an earlier
 step equalizes a later category's defining words or an explicit neutral list
 names them.
+
+``run_plan`` *fits* a plan on the lexicon rows, the only rows subspaces and
+equalize read, by running its steps there. It then *applies* the fitted steps
+to the other neutral rows in one blocked pass in the coordinates of an
+orthonormal basis of all step subspaces, which is exact for the oblique
+SUM/MEAN subspaces too. Each step's ``WordSkippedWarning`` for rows inside
+its subspace is given once for the lexicon rows and once for the apply rows.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ from .errors import (
     WordSkippedWarning,
 )
 from .subspace import BiasSubspace, bias_subspace
-from .wordsets import CategorySpec, resolve_words
+from .wordsets import CategorySpec, lexicon_words, resolve_words
 
 RESIDUAL_TOL = 1e-10
+_BLOCK_ROWS = 512
 
 
 class Strategy(str, Enum):
@@ -165,6 +173,13 @@ def _neutralize_block(matrix: np.ndarray, subspace: BiasSubspace):
     return residual / safe[:, None], contained
 
 
+def _warn_contained(vocab, idx) -> None:
+    kept = [vocab[i] for i in idx[:5]]
+    warnings.warn(
+        f"{len(idx)} neutral word(s) lie inside the bias subspace and were "
+        f"left unchanged (e.g. {kept})", WordSkippedWarning, stacklevel=3)
+
+
 def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
                   plan: DebiasPlan) -> np.ndarray:
     """Boolean mask over ``emb.vocab`` of the rows to neutralize.
@@ -226,11 +241,7 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     if idx.size:
         rows, contained = _neutralize_block(matrix[idx], subspace)
         if contained.any():
-            kept = [emb.vocab[i] for i in idx[contained][:5]]
-            warnings.warn(
-                f"{int(contained.sum())} neutral word(s) lie inside the bias "
-                f"subspace and were left unchanged (e.g. {kept})",
-                WordSkippedWarning, stacklevel=2)
+            _warn_contained(emb.vocab, idx[contained])
             rows[contained] = matrix[idx[contained]]
         matrix[idx] = rows
 
@@ -250,24 +261,73 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     return EmbeddingSet(emb.vocab, matrix)
 
 
+def _apply_steps(matrix: np.ndarray, active: np.ndarray,
+                 steps: Sequence[np.ndarray], vocab) -> np.ndarray:
+    """Neutralize the ``active`` rows of ``matrix`` against each step's
+    components in turn, as chained ``hard_debias`` steps would; every other
+    row is returned unchanged.
+
+    Every step's components lie in the span of the orthonormal rows ``q``,
+    so a row is its coordinates ``c`` in ``q`` plus a scaled part outside
+    ``q`` that no step changes. A step projects ``c`` and renormalizes by the
+    exact residual norm; the row is rebuilt once, as ``s * x + (c - s * c0)
+    @ q`` with ``s`` its cumulative scale. Rows are handled in blocks of
+    ``_BLOCK_ROWS`` so the temporaries stay in cache.
+    """
+    q = np.linalg.qr(np.vstack(steps).T)[0].T
+    coords = [components @ q.T for components in steps]
+    out = np.empty_like(matrix)
+    contained = np.zeros((len(steps), len(matrix)), dtype=bool)
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        x, act = matrix[rows], active[rows]
+        c0 = x @ q.T
+        outside = x - c0 @ q
+        outside = np.sqrt(np.einsum("ij,ij->i", outside, outside))
+        c, scale = c0, np.ones(len(x))
+        for g, hit in zip(coords, contained[:, rows]):
+            residual = c - (c @ g.T) @ g
+            norms = np.sqrt((scale * outside) ** 2
+                            + np.einsum("ij,ij->i", residual, residual))
+            hit[:] = act & (norms <= RESIDUAL_TOL)
+            moved = act & ~hit
+            norms = np.where(moved, norms, 1.0)
+            c = np.where(moved[:, None], residual / norms[:, None], c)
+            scale = np.where(moved, scale / norms, scale)
+        out[rows] = scale[:, None] * x + (c - scale[:, None] * c0) @ q
+    for hit in contained:
+        if hit.any():
+            _warn_contained(vocab, np.flatnonzero(hit))
+    out[~active] = matrix[~active]
+    return out
+
+
 def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
              plan: DebiasPlan) -> EmbeddingSet:
     """Execute a full debiasing plan and return the new embedding set.
 
-    Each step is one ``hard_debias`` call over the same plan-wide neutral
-    rows, so under the default rule no step neutralizes any category's
-    defining or equality words.
+    The plan is *fitted* on the lexicon rows: each step is one
+    ``hard_debias`` call over the same plan-wide neutral rows, so under the
+    default rule no step neutralizes any category's defining or equality
+    words. The fitted steps are then *applied* to the neutral rows outside
+    the lexicon in one blocked pass (:func:`_apply_steps`).
     """
     plan.validate(specs)
+    if not emb.normalized:
+        raise ValueError("run_plan requires a normalized embedding set "
+                         "(call normalize())")
     neutral = _neutral_rows(emb, specs, plan)
+    fit = emb.subset(lexicon_words(specs, plan.lowercase_fallback))
+    fit_rows = np.array([emb.index(w) for w in fit.vocab], dtype=np.intp)
+    fit_neutral = neutral[fit_rows]
     if plan.strategy is Strategy.SEQUENTIAL:
         by_name = {s.name: s for s in specs}
         steps = [[by_name[name]] for name in plan.category_order]
     else:
         steps = [list(specs)]
-    current = emb
+    current, components = fit, []
     for step in steps:
-        source = emb if plan.frozen_subspaces else current
+        source = fit if plan.frozen_subspaces else current
         subspaces = [bias_subspace(s, source, plan.k,
                                    double_center=plan.double_center,
                                    lowercase_fallback=plan.lowercase_fallback)
@@ -276,5 +336,15 @@ def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
             subspace = subspaces[0]
         else:
             subspace = compose(plan.strategy.value, subspaces).subspace
-        current = hard_debias(current, subspace, plan, step, neutral=neutral)
-    return current
+        current = hard_debias(current, subspace, plan, step, neutral=fit_neutral)
+        components.append(subspace.components)
+    if len(fit) == len(emb):
+        return current
+    rest = neutral.copy()
+    rest[fit_rows] = False
+    if rest.any():
+        matrix = _apply_steps(emb.matrix, rest, components, emb.vocab)
+    else:
+        matrix = np.array(emb.matrix)
+    matrix[fit_rows] = current.matrix
+    return EmbeddingSet(emb.vocab, matrix)

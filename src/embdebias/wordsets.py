@@ -65,6 +65,16 @@ class CategorySpec:
                      for w in ws)
 
 
+def lexicon_words(specs, lowercase_fallback: bool = False) -> set[str]:
+    """Every word of the four set fields of ``specs``, plus each word's
+    lowercase form under ``lowercase_fallback``: the only rows that subspaces,
+    equalize and MAC read."""
+    words = {w for spec in specs for w in spec.all_words()}
+    if lowercase_fallback:
+        words |= {w.lower() for w in words}
+    return words
+
+
 def load_category_spec(path) -> CategorySpec:
     """Parse a category spec file, checking structural invariants."""
     with open(path, encoding="utf-8") as fh:

@@ -206,6 +206,22 @@ def test_eval_eq_missing_overall(tmp_path, capsys):
     assert "overall" in capsys.readouterr().err
 
 
+def test_eval_eq_refuses_embedding_options(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("group,tp,fp,tn,fn\noverall,5,10,10,5\ng1,5,4,6,5\n")
+    for flags in (["--embeddings", "/nope.txt"], ["--seed", "5"],
+                  ["--double-center"], ["--no-normalize"], ["--lowercase-fallback"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-eq", "--counts", str(counts), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    out = tmp_path / "e.out"
+    assert main(["eval-eq", "--counts", str(counts), "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "e.out.manifest.json").read_text())["config"]
+    assert config == {"counts": str(counts), "out": str(out),
+                      "strict_degenerate": False}
+
+
 def test_validate_hypothesis_deterministic(workspace, tmp_path):
     args = ["validate-hypothesis", "--embeddings", workspace["emb"],
             "--specs", *workspace["specs"], "--ground-truth", workspace["gt"],
@@ -381,6 +397,29 @@ def test_strict_degenerate_exits_3(workspace, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "degeneracy" in err
+
+
+def test_one_pair_category_costs_no_plan(workspace, tmp_path, capsys):
+    # at --k 2 this spec gets one component next to two 2-component ones
+    spec = tmp_path / "onepair.json"
+    spec.write_text(json.dumps({
+        "name": "onepair", "defining_sets": [["f0", "f1"]],
+        "target_words": [[f"t{t}" for t in range(6)]],
+        "attribute_sets": [["a0", "a1"], ["a2", "a3"]]}))
+    specs = [*workspace["specs"], str(spec)]
+    args = ["report", "--embeddings", workspace["emb"], "--specs", *specs,
+            "--k", "2", "--pipeline"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    labels = [row.split()[0] for row in captured.out.split("\n\n")[0].splitlines()[1:]]
+    assert len(labels) == 10
+    assert labels[0] == "biased" and labels[-3:] == ["sum", "mean", "josec"]
+    assert all(label.startswith("hard_seq(") for label in labels[1:7])
+    assert "SUM/MEAN composes the leading 1 component(s)" in captured.err
+    assert main(args + ["--strict-degenerate"]) == 3
+    assert main(["debias", "--embeddings", workspace["emb"], "--specs", *specs,
+                 "--k", "2", "--strategy", "sum",
+                 "--out", str(tmp_path / "sum.txt")]) == 0
 
 
 def test_warnings_recorded_in_manifest(workspace, tmp_path):

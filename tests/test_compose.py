@@ -19,6 +19,7 @@ from embdebias import (
 from embdebias.errors import (
     DegenerateTieWarning,
     NotUnitError,
+    RankDeficiencyWarning,
     ShapeMismatchError,
     ZeroRowError,
 )
@@ -47,7 +48,14 @@ class TestSumMean:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            subspace_sum([sub([[1.0, 0.0]]), sub(np.eye(2))])
+            subspace_sum([sub([[1.0, 0.0]]), sub([[1.0, 0.0, 0.0]])])
+
+    def test_fewer_components_sums_the_leading_ones(self):
+        with pytest.warns(RankDeficiencyWarning, match="leading 1 component"):
+            out = subspace_sum([sub([[1.0, 0.0, 0.0]]), sub(np.eye(3)[1::-1])])
+        np.testing.assert_allclose(out.components, [[2 ** -0.5, 2 ** -0.5, 0.0]])
+        with pytest.warns(RankDeficiencyWarning):
+            assert subspace_mean([sub(np.eye(3)[:2]), sub([[0.0, 1.0, 0.0]])]).k == 1
 
     def test_mean_of_identical_is_identity(self):
         s = sub(np.eye(3)[:2])

@@ -19,6 +19,7 @@ from embdebias import (
     Strategy,
     bias_component,
     bias_subspace,
+    compose,
     equalize,
     hard_debias,
     load_embeddings,
@@ -167,6 +168,81 @@ def test_plan_on_a_lexicon_closure_matches_full_vocabulary(seed, k, order,
     np.testing.assert_allclose(cut.matrix, full.take(cut.vocab), rtol=0, atol=1e-12)
 
 
+def chained_hard_debias(emb, specs, plan):
+    """A plan run step by step as public ``hard_debias`` calls on the whole
+    set, each over the plan's neutral rows; the reference for ``run_plan``."""
+    if plan.neutral_words is None:
+        excluded = {w for s in specs
+                    for w in s.all_defining_words() + s.all_equality_words()}
+        if plan.lowercase_fallback:
+            excluded |= {w.lower() for w in excluded}
+        neutral = np.array([w not in excluded for w in emb.vocab])
+    else:
+        named = set(plan.neutral_words)
+        if plan.lowercase_fallback:
+            named |= {w.lower() for w in named if w not in emb}
+        neutral = np.isin(emb.vocab, sorted(named))
+    if plan.strategy is Strategy.SEQUENTIAL:
+        by_name = {s.name: s for s in specs}
+        steps = [[by_name[name]] for name in plan.category_order]
+    else:
+        steps = [list(specs)]
+    current = emb
+    for step in steps:
+        source = emb if plan.frozen_subspaces else current
+        subspaces = [bias_subspace(s, source, plan.k,
+                                   lowercase_fallback=plan.lowercase_fallback)
+                     for s in step]
+        subspace = (subspaces[0] if plan.strategy in (Strategy.SINGLE,
+                                                      Strategy.SEQUENTIAL)
+                    else compose(plan.strategy.value, subspaces).subspace)
+        current = hard_debias(current, subspace, plan, step, neutral=neutral)
+    return current
+
+
+def _capitalized(spec):
+    """``spec`` with every word capitalized, so it resolves only through the
+    lowercase fallback."""
+    fields = ("defining_sets", "equality_sets", "target_words", "attribute_sets")
+    return CategorySpec(spec.name, *(
+        tuple(tuple(w.capitalize() for w in ws) for ws in getattr(spec, f))
+        for f in fields))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
+       order=st.permutations(["c0", "c1", "c2"]),
+       kind=st.sampled_from(["single", "seq", "frozen", "sum", "mean", "josec"]),
+       lowercase=st.booleans(), explicit=st.booleans())
+def test_run_plan_matches_chained_hard_debias(seed, k, order, kind, lowercase,
+                                              explicit):
+    emb, specs = planted_set(seed)
+    if lowercase:
+        specs = [_capitalized(s) if s.name != "c2" else s for s in specs]
+    if kind == "single":
+        specs = specs[:1]
+    neutral = None
+    if explicit:
+        # defining words outside every equality set, fillers (capitalized
+        # under the fallback) and one word that is in no form in the set
+        neutral = ("c0a1", "c1b2", "c2a2", "absent",
+                   *((f"Fill{i}" if lowercase else f"fill{i}") for i in range(0, 20, 2)))
+    strategy = {"seq": "sequential", "frozen": "sequential"}.get(kind, kind)
+    plan = DebiasPlan(strategy=Strategy(strategy), k=k, category_order=tuple(order),
+                      neutral_words=neutral, frozen_subspaces=kind == "frozen",
+                      lowercase_fallback=lowercase)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_plan(emb, specs, plan)
+    missing = [str(w.message) for w in caught if "not in vocabulary" in str(w.message)]
+    assert missing == (["1 neutral word(s) not in vocabulary"] if explicit else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = chained_hard_debias(emb, specs, plan)
+    assert out.vocab == emb.vocab
+    np.testing.assert_allclose(out.matrix, expected.matrix, rtol=0, atol=1e-12)
+
+
 @settings(deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
               elements=st.floats(-1e3, 1e3, allow_nan=False)))
@@ -203,22 +279,25 @@ def test_hard_debias_with_a_pca_subspace_keeps_the_set_normalized(seed, k):
 
 # The JSON type each config key takes, per subcommand, written out here
 # independently of the parser that checks it.
-COMMON_OPTIONS = {"embeddings": str, "format": str, "normalize": bool,
-                   "lowercase_fallback": bool, "double_center": bool,
-                   "strict_degenerate": bool, "seed": int, "out": str,
-                   "manifest": str}
+COMMON_OPTIONS = {"strict_degenerate": bool, "out": str, "manifest": str}
+# the options of every subcommand that loads an embedding file
+EMBEDDING_OPTIONS = {"embeddings": str, "format": str, "normalize": bool,
+                     "lowercase_fallback": bool, "double_center": bool,
+                     "seed": int}
 CONFIG_OPTIONS = {
-    "subspace": {"spec": list, "k": int, "strategy": str},
-    "debias": {"specs": list, "strategy": str, "k": int, "order": str,
-               "all_orders": bool, "frozen_subspaces": bool,
+    "subspace": {**EMBEDDING_OPTIONS, "spec": list, "k": int, "strategy": str},
+    "debias": {**EMBEDDING_OPTIONS, "specs": list, "strategy": str, "k": int,
+               "order": str, "all_orders": bool, "frozen_subspaces": bool,
                "neutral_words": str},
-    "eval-mac": {"specs": list, "baseline": str, "f_table": str},
+    "eval-mac": {**EMBEDDING_OPTIONS, "specs": list, "baseline": str,
+                 "f_table": str},
     "eval-eq": {"counts": str},
-    "validate-hypothesis": {"specs": list, "ground_truth": str, "k": int,
+    "validate-hypothesis": {**EMBEDDING_OPTIONS, "specs": list,
+                            "ground_truth": str, "k": int,
                             "projection_csv": str},
-    "report": {"specs": list, "debiased": str, "pipeline": bool, "k": int,
-               "frozen_subspaces": bool, "ground_truth": str,
-               "projection_csv": str, "json": str},
+    "report": {**EMBEDDING_OPTIONS, "specs": list, "debiased": str,
+               "pipeline": bool, "k": int, "frozen_subspaces": bool,
+               "ground_truth": str, "projection_csv": str, "json": str},
 }
 # JSON values by kind; a generated list is empty or holds no strings, so it is
 # the wrong kind for every key
@@ -269,6 +348,8 @@ def wrong_type_configs(draw):
 @example(case=("debias", "pipeline", True))
 @example(case=("report", "specs", []))
 @example(case=("subspace", "seed", None))
+@example(case=("eval-eq", "seed", 5))
+@example(case=("eval-eq", "embeddings", "e.txt"))
 def test_config_of_the_wrong_type_exits_2(tmp_path_factory, case):
     command, key, value = case
     config = tmp_path_factory.mktemp("cfg") / "c.json"
