@@ -25,10 +25,12 @@ names them.
 
 ``run_plan`` *fits* a plan on the lexicon rows, the only rows subspaces and
 equalize read, by running its steps there. It then *applies* the fitted steps
-to the other neutral rows in one blocked pass in the coordinates of an
-orthonormal basis of all step subspaces, which is exact for the oblique
-SUM/MEAN subspaces too. Each step's ``WordSkippedWarning`` for rows inside
-its subspace is given once for the lexicon rows and once for the apply rows.
+to the other neutral rows in one blocked pass: each block of rows is
+neutralized against every step's subspace in turn, with a step's own
+arithmetic, so the plan reads the big matrix once instead of once per step.
+Each step's ``WordSkippedWarning`` for rows inside its subspace is given once
+for the lexicon rows, during the fit, and once for the other rows, after the
+whole fit.
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ from .subspace import BiasSubspace, bias_subspace
 from .wordsets import CategorySpec, lexicon_words, resolve_words
 
 RESIDUAL_TOL = 1e-10
-_BLOCK_ROWS = 512
+#: Rows per block of the apply pass; it bounds the pass's temporaries to
+#: ``_BLOCK_ROWS`` x d. On a 10k x 300 set with one BLAS thread, blocks of 32
+#: to 512 rows ran the same within timing noise; 2048 rows or one block ran
+#: slower.
+_BLOCK_ROWS = 128
 
 
 class Strategy(str, Enum):
@@ -165,12 +171,14 @@ def equalize(words: Sequence[str], subspace: BiasSubspace, emb: EmbeddingSet,
 
 
 def _neutralize_block(matrix: np.ndarray, subspace: BiasSubspace):
-    """Vectorized neutralize over rows; returns (new_rows, contained_mask)."""
+    """Vectorized neutralize over rows; rows inside the subspace are returned
+    unchanged. Returns (new_rows, contained_mask)."""
     residual = matrix - bias_component(matrix, subspace)
-    norms = np.linalg.norm(residual, axis=1)
+    norms = np.sqrt((residual * residual).sum(axis=1))
     contained = norms <= RESIDUAL_TOL
-    safe = np.where(contained, 1.0, norms)
-    return residual / safe[:, None], contained
+    residual /= np.where(contained, 1.0, norms)[:, None]
+    residual[contained] = matrix[contained]
+    return residual, contained
 
 
 def _warn_contained(vocab, idx) -> None:
@@ -239,11 +247,9 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
     matrix = np.array(emb.matrix, copy=True)
     idx = np.flatnonzero(neutral)
     if idx.size:
-        rows, contained = _neutralize_block(matrix[idx], subspace)
+        matrix[idx], contained = _neutralize_block(matrix[idx], subspace)
         if contained.any():
             _warn_contained(emb.vocab, idx[contained])
-            rows[contained] = matrix[idx[contained]]
-        matrix[idx] = rows
 
     # equality words are disjoint from the neutral rows, so their vectors in
     # the input set are still current here
@@ -262,44 +268,30 @@ def hard_debias(emb: EmbeddingSet, subspace: BiasSubspace, plan: DebiasPlan,
 
 
 def _apply_steps(matrix: np.ndarray, active: np.ndarray,
-                 steps: Sequence[np.ndarray], vocab) -> np.ndarray:
-    """Neutralize the ``active`` rows of ``matrix`` against each step's
-    components in turn, as chained ``hard_debias`` steps would; every other
-    row is returned unchanged.
-
-    Every step's components lie in the span of the orthonormal rows ``q``,
-    so a row is its coordinates ``c`` in ``q`` plus a scaled part outside
-    ``q`` that no step changes. A step projects ``c`` and renormalizes by the
-    exact residual norm; the row is rebuilt once, as ``s * x + (c - s * c0)
-    @ q`` with ``s`` its cumulative scale. Rows are handled in blocks of
-    ``_BLOCK_ROWS`` so the temporaries stay in cache.
+                 subspaces: Sequence[BiasSubspace], vocab) -> None:
+    """Neutralize the ``active`` rows of ``matrix`` in place against each
+    subspace in turn, as chained ``hard_debias`` steps would, one block of
+    ``_BLOCK_ROWS`` rows at a time; a row inside a step's subspace is left
+    unchanged at that step and reported in that step's warning. BLAS may
+    round a product over a block differently from one over all rows, so
+    results can differ from chained steps in the last bit.
     """
-    q = np.linalg.qr(np.vstack(steps).T)[0].T
-    coords = [components @ q.T for components in steps]
-    out = np.empty_like(matrix)
-    contained = np.zeros((len(steps), len(matrix)), dtype=bool)
+    contained = np.zeros((len(subspaces), len(matrix)), dtype=bool)
     for start in range(0, len(matrix), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         x, act = matrix[rows], active[rows]
-        c0 = x @ q.T
-        outside = x - c0 @ q
-        outside = np.sqrt(np.einsum("ij,ij->i", outside, outside))
-        c, scale = c0, np.ones(len(x))
-        for g, hit in zip(coords, contained[:, rows]):
-            residual = c - (c @ g.T) @ g
-            norms = np.sqrt((scale * outside) ** 2
-                            + np.einsum("ij,ij->i", residual, residual))
-            hit[:] = act & (norms <= RESIDUAL_TOL)
-            moved = act & ~hit
-            norms = np.where(moved, norms, 1.0)
-            c = np.where(moved[:, None], residual / norms[:, None], c)
-            scale = np.where(moved, scale / norms, scale)
-        out[rows] = scale[:, None] * x + (c - scale[:, None] * c0) @ q
+        if not act.any():
+            continue
+        for subspace, hit in zip(subspaces, contained[:, rows]):
+            new, inside = _neutralize_block(x, subspace)
+            hit[:] = act & inside
+            if not act.all():
+                new[~act] = x[~act]
+            x = new
+        matrix[rows] = x
     for hit in contained:
         if hit.any():
             _warn_contained(vocab, np.flatnonzero(hit))
-    out[~active] = matrix[~active]
-    return out
 
 
 def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
@@ -310,7 +302,8 @@ def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
     ``hard_debias`` call over the same plan-wide neutral rows, so under the
     default rule no step neutralizes any category's defining or equality
     words. The fitted steps are then *applied* to the neutral rows outside
-    the lexicon in one blocked pass (:func:`_apply_steps`).
+    the lexicon in one blocked pass (:func:`_apply_steps`), which warns
+    after the fit.
     """
     plan.validate(specs)
     if not emb.normalized:
@@ -325,7 +318,7 @@ def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
         steps = [[by_name[name]] for name in plan.category_order]
     else:
         steps = [list(specs)]
-    current, components = fit, []
+    current, fitted = fit, []
     for step in steps:
         source = fit if plan.frozen_subspaces else current
         subspaces = [bias_subspace(s, source, plan.k,
@@ -337,14 +330,10 @@ def run_plan(emb: EmbeddingSet, specs: Sequence[CategorySpec],
         else:
             subspace = compose(plan.strategy.value, subspaces).subspace
         current = hard_debias(current, subspace, plan, step, neutral=fit_neutral)
-        components.append(subspace.components)
-    if len(fit) == len(emb):
-        return current
+        fitted.append(subspace)
+    matrix = np.array(emb.matrix)
+    matrix[fit_rows] = current.matrix
     rest = neutral.copy()
     rest[fit_rows] = False
-    if rest.any():
-        matrix = _apply_steps(emb.matrix, rest, components, emb.vocab)
-    else:
-        matrix = np.array(emb.matrix)
-    matrix[fit_rows] = current.matrix
+    _apply_steps(matrix, rest, fitted, emb.vocab)
     return EmbeddingSet(emb.vocab, matrix)
