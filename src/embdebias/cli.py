@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Subcommands: ``subspace``, ``debias``, ``eval-mac``, ``eval-eq``,
-``validate-hypothesis``, ``report``. Each subcommand's parser is the one
-definition of its options and defaults. A JSON ``--config`` maps an option's
-``dest`` (``lowercase_fallback``) to a value of its flag's JSON type, checked
-by that parser; flags override config values, which override defaults. Exit
-codes: 0 success, 1 I/O failure or out of memory, 2 validation (a bad config
-key or value included) or linear-algebra failure, 3 numerical degeneracy
-when ``--strict-degenerate`` is set.
+``validate-hypothesis``, ``report``. Each option is declared once, in a group
+named for the code that reads it (common, embedding input, subspace
+construction, hypothesis), and a subcommand's parser takes only the groups
+and options its code reads, so an option it would ignore exits 2. A JSON
+``--config`` maps an option's ``dest`` (``lowercase_fallback``) to a value of
+its flag's JSON type, checked by that parser; flags override config values,
+which override defaults. Exit codes: 0 success, 1 I/O failure or out of
+memory, 2 validation (a bad config key or value included) or linear-algebra
+failure, 3 numerical degeneracy when ``--strict-degenerate`` is set.
 
 Runs that produce an output file also write ``<out>.manifest.json`` with the
 subcommand's set options, their hash and all warnings; its ``config`` re-runs
@@ -34,7 +36,9 @@ from . import __version__
 from .compose import compose, validate_hypothesis
 from .debias import DebiasPlan, Strategy, run_plan
 from .embeddings import (
+    FIELD,
     EmbeddingSet,
+    data_lines,
     load_embeddings,
     normalize,
     save_embeddings,
@@ -221,8 +225,10 @@ def cmd_subspace(args: Namespace) -> tuple[list[str], list[str]]:
 def _plan_from_config(args: Namespace) -> DebiasPlan:
     neutral = None
     if args.neutral_words:
+        # split as the embedding loader splits, so "new\u00a0york" stays whole
         with open(args.neutral_words, encoding="utf-8") as fh:
-            neutral = tuple(w for w in fh.read().split() if w)
+            neutral = tuple(w for _, line in data_lines(fh.read())
+                            for w in FIELD.findall(line))
     return DebiasPlan(
         strategy=Strategy(args.strategy),
         k=_require_k(args),
@@ -462,35 +468,6 @@ def _strategy(name: str) -> str:
     return "sequential" if name == "seq" else name
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--strict-degenerate", dest="strict_degenerate",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="treat rank deficiency / tied optima as fatal (exit 3)")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
-
-
-def _add_embedding_options(p: argparse.ArgumentParser) -> None:
-    """Options of the subcommands that load an embedding file."""
-    _add_common(p)
-    p.add_argument("--embeddings", help="embedding file path")
-    p.add_argument("--format", choices=["word2vec-text", "glove-text"],
-                   help="embedding format (default: sniffed from the file)")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="unit-normalize rows after loading (default: %(default)s)")
-    p.add_argument("--lowercase-fallback", dest="lowercase_fallback",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="fall back to lowercase when resolving words")
-    p.add_argument("--double-center", dest="double_center",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="also remove the global row mean before the subspace "
-                        "decomposition")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed (default: %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embdebias",
@@ -498,80 +475,98 @@ def build_parser() -> argparse.ArgumentParser:
                     "word embeddings.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    on_off = argparse.BooleanOptionalAction
 
-    p = sub.add_parser("subspace", help="build and serialize bias subspaces")
-    _add_embedding_options(p)
-    p.add_argument("--spec", dest="spec", nargs="+",
+    # the option groups of the module docstring, as parent parsers
+    common, embedding, construction, hypothesis, specs, frozen = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    common.add_argument("--config", help="JSON config file; flags override it")
+    common.add_argument("--out", help="output path")
+    common.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+
+    embedding.add_argument("--embeddings", help="embedding file path")
+    embedding.add_argument("--format", choices=["word2vec-text", "glove-text"],
+                           help="embedding format (default: sniffed from the file)")
+    embedding.add_argument("--normalize", action=on_off, default=True,
+                           help="unit-normalize rows after loading "
+                                "(default: %(default)s)")
+    embedding.add_argument("--lowercase-fallback", action=on_off, default=False,
+                           help="fall back to lowercase when resolving words")
+
+    construction.add_argument("--k", type=int, help="number of components per category")
+    construction.add_argument("--double-center", action=on_off, default=False,
+                              help="also remove the global row mean before the "
+                                   "subspace decomposition")
+    construction.add_argument("--strict-degenerate", action=on_off, default=False,
+                              help="treat rank deficiency / tied optima as "
+                                   "fatal (exit 3)")
+
+    hypothesis.add_argument("--ground-truth",
+                            help="spec file with intersectional defining sets")
+    hypothesis.add_argument("--projection-csv",
+                            help="CSV path for the 3-D component projection")
+    hypothesis.add_argument("--seed", type=int, default=0,
+                            help="seed of the random-direction baseline "
+                                 "(default: %(default)s)")
+
+    specs.add_argument("--specs", nargs="+",
+                       help="category spec file(s) or bundled lexicon name(s)")
+    frozen.add_argument("--frozen-subspaces", action=on_off, default=False,
+                        help="build each sequential step's subspace on the input "
+                             "instead of on the output of the steps before it; the "
+                             "two coincide unless an earlier step equalizes a later "
+                             "category's defining words or a neutral list names them")
+
+    p = sub.add_parser("subspace", help="build and serialize bias subspaces",
+                       parents=[common, embedding, construction])
+    p.add_argument("--spec", nargs="+",
                    help="category spec file(s) or bundled lexicon name(s)")
-    p.add_argument("--k", type=int, help="number of components per category")
     p.add_argument("--strategy", choices=["single", "sum", "mean", "josec"],
                    default="single",
                    help="compose multiple categories (default: %(default)s)")
     p.set_defaults(func=cmd_subspace)
 
-    p = sub.add_parser("debias", help="remove bias components from embeddings")
-    _add_embedding_options(p)
-    p.add_argument("--specs", dest="specs", nargs="+",
-                   help="category spec file(s) or bundled lexicon name(s)")
+    p = sub.add_parser("debias", help="remove bias components from embeddings",
+                       parents=[common, embedding, construction, specs, frozen])
     p.add_argument("--strategy", type=_strategy, default="single",
                    choices=["single", "sequential", "sum", "mean", "josec"],
                    help="seq is short for sequential (default: %(default)s)")
-    p.add_argument("--k", type=int, help="number of components per category")
     p.add_argument("--order", help="comma-separated category order (seq)")
-    p.add_argument("--all-orders", dest="all_orders", action="store_true",
+    p.add_argument("--all-orders", action="store_true",
                    help="run every category order (seq)")
-    p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="build each sequential step's subspace on the input "
-                        "instead of on the output of the steps before it; the "
-                        "two coincide unless an earlier step equalizes a later "
-                        "category's defining words or --neutral-words names them")
-    p.add_argument("--neutral-words", dest="neutral_words",
-                   help="file of words to neutralize (default: all words not "
-                        "in any defining or equality set)")
+    p.add_argument("--neutral-words",
+                   help="file of words to neutralize, separated by spaces, tabs "
+                        "or line breaks (default: all words not in any "
+                        "defining or equality set)")
     p.set_defaults(func=cmd_debias)
 
-    p = sub.add_parser("eval-mac", help="MAC per category (optionally vs a baseline)")
-    _add_embedding_options(p)
-    p.add_argument("--specs", dest="specs", nargs="+")
+    p = sub.add_parser("eval-mac", help="MAC per category (optionally vs a baseline)",
+                       parents=[common, embedding, specs])
     p.add_argument("--baseline", help="baseline embedding file for deltas")
-    p.add_argument("--f-table", dest="f_table",
+    p.add_argument("--f-table",
                    help="CSV path for the per-(target, attribute-set) table")
     p.set_defaults(func=cmd_eval_mac)
 
-    p = sub.add_parser("eval-eq", help="FPED/FNED from a confusion-count CSV")
-    _add_common(p)
+    p = sub.add_parser("eval-eq", help="FPED/FNED from a confusion-count CSV",
+                       parents=[common])
     p.add_argument("--counts", help="CSV with group,tp,fp,tn,fn rows plus an "
                                     "'overall' row")
     p.set_defaults(func=cmd_eval_eq)
 
     p = sub.add_parser("validate-hypothesis",
                        help="compare composed directions against a ground-truth "
-                            "intersectional subspace")
-    _add_embedding_options(p)
-    p.add_argument("--specs", dest="specs", nargs="+")
-    p.add_argument("--ground-truth", dest="ground_truth",
-                   help="spec file with intersectional defining sets")
-    p.add_argument("--k", type=int)
-    p.add_argument("--projection-csv", dest="projection_csv",
-                   help="CSV path for the 3-D component projection")
+                            "intersectional subspace",
+                       parents=[common, embedding, construction, hypothesis, specs])
     p.set_defaults(func=cmd_validate_hypothesis)
 
-    p = sub.add_parser("report", help="consolidated MAC / significance report")
-    _add_embedding_options(p)
-    p.add_argument("--specs", dest="specs", nargs="+")
+    p = sub.add_parser("report", help="consolidated MAC / significance report",
+                       parents=[common, embedding, construction, hypothesis,
+                                specs, frozen])
     p.add_argument("--debiased", help="debiased embedding file to compare against")
     p.add_argument("--pipeline", action="store_true",
                    help="run every strategy (sequential all orders, sum, mean, "
                         "josec) on the lexicon rows and report MACs")
-    p.add_argument("--k", type=int)
-    p.add_argument("--frozen-subspaces", dest="frozen_subspaces",
-                   action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--ground-truth", dest="ground_truth",
-                   help="add the hypothesis-validation section")
-    p.add_argument("--projection-csv", dest="projection_csv")
-    p.add_argument("--json", dest="json",
-                   help="also write the MAC table as full-precision JSON")
+    p.add_argument("--json", help="also write the MAC table as full-precision JSON")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -618,7 +613,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.strict_degenerate and any(
+    if getattr(args, "strict_degenerate", False) and any(
             issubclass(w.category, (RankDeficiencyWarning, DegenerateTieWarning))
             for w in captured):
         print("error: numerical degeneracy treated as fatal "

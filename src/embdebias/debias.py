@@ -193,7 +193,7 @@ def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
     """Boolean mask over ``emb.vocab`` of the rows to neutralize.
 
     The default rule selects every word outside all defining and equality
-    sets of ``specs``; an explicit neutral list must be disjoint from those
+    sets of ``specs``; an explicit neutral list may share no row with those
     equality sets, and its missing words are reported in one warning.
     """
     if plan.neutral_words is None:
@@ -206,14 +206,14 @@ def _neutral_rows(emb: EmbeddingSet, specs: Sequence[CategorySpec],
         mask = np.ones(len(emb), dtype=bool)
         mask[[emb.index(w) for w in excluded if w in emb]] = False
         return mask
-    neutral = set(plan.neutral_words)
+    res = resolve_words(plan.neutral_words, emb, plan.lowercase_fallback)
     for spec in specs:
-        overlap = neutral.intersection(spec.all_equality_words())
+        overlap = set(res.resolved).intersection(resolve_words(
+            spec.all_equality_words(), emb, plan.lowercase_fallback).resolved)
         if overlap:
             raise ValueError(
                 f"words {sorted(overlap)!r} appear in both the neutral "
                 f"list and an equality set of {spec.name!r}")
-    res = resolve_words(plan.neutral_words, emb, plan.lowercase_fallback)
     if res.missing:
         warnings.warn(f"{len(res.missing)} neutral word(s) not in vocabulary",
                       WordSkippedWarning, stacklevel=3)

@@ -38,9 +38,9 @@ UNIT_TOL = 1e-6
 #: Norms below this are treated as zero vectors.
 ZERO_NORM = 1e-12
 
-#: Field separators of a data line.
+#: Field separators of a data line, and the pattern of one field.
 _SEPARATORS = " \t"
-_FIELD = re.compile(r"[^ \t]+")
+FIELD = re.compile(r"[^ \t]+")
 _UNSAVABLE = re.compile(r"[ \t\n\r]")
 
 
@@ -118,6 +118,13 @@ def _is_blank(line: str) -> bool:
     return not line.strip(_SEPARATORS + "\n")
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, line)`` of each non-blank line of ``text``. Lines break
+    at ``\\n`` only: ``str.splitlines()`` would also break at U+0085, U+2028..."""
+    return [(i + 1, ln) for i, ln in enumerate(text.split("\n"))
+            if not _is_blank(ln)]
+
+
 def _fields(line: str, dim: int | None) -> list[str]:
     """Fields of a data line, split on ASCII spaces and tabs only, so a token
     or a value keeps any Unicode whitespace it holds. Splitting on single
@@ -125,7 +132,7 @@ def _fields(line: str, dim: int | None) -> list[str]:
     ``dim`` values take the pattern match."""
     parts = line.rstrip(_SEPARATORS).split(" ")
     if len(parts) - 1 != dim or "" in parts or "\t" in line:
-        return _FIELD.findall(line)
+        return FIELD.findall(line)
     return parts
 
 
@@ -177,9 +184,7 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     with open(path, encoding="utf-8") as fh:
         raw = fh.read()
-    # str.splitlines() would also break at U+0085, U+2028, U+001C, ...
-    lines = [(i + 1, ln) for i, ln in enumerate(raw.split("\n"))
-             if not _is_blank(ln)]
+    lines = data_lines(raw)
     if not lines:
         raise EmptyFileError(f"{path}: no content")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import FIELD, EmbeddingSet, data_lines
 from .errors import (
     FatalValidationError,
     MalformedLineError,
@@ -172,22 +172,21 @@ def load_subspace(path) -> BiasSubspace:
     Explained variances are not stored in the format, so they load as zeros.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = data_lines(fh.read())
     if not lines:
         raise MalformedLineError("empty subspace file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise MalformedLineError(f"header must be 'label K d', got {lines[0]!r}", 1)
-    label = header[0]
+    header_no, header = lines[0]
     try:
-        k, d = int(header[1]), int(header[2])
+        label, k, d = FIELD.findall(header)
+        k, d = int(k), int(d)
     except ValueError:
-        raise MalformedLineError(f"header must be 'label K d', got {lines[0]!r}", 1) from None
+        raise MalformedLineError(f"header must be 'label K d', got {header!r}",
+                                 header_no) from None
     if len(lines) - 1 != k:
         raise MalformedLineError(f"expected {k} component rows, found {len(lines) - 1}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+    for lineno, line in lines[1:]:
+        parts = FIELD.findall(line)
         if len(parts) != d:
             raise MalformedLineError(f"expected {d} values, got {len(parts)}", lineno)
         rows.append(np.asarray(parts, dtype=np.float64))

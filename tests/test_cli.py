@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -17,7 +18,7 @@ from embdebias import (
     normalize,
     run_plan,
 )
-from embdebias.cli import main
+from embdebias.cli import build_parser, main
 
 from conftest import unit_rows, write_embeddings_file
 
@@ -149,6 +150,24 @@ def test_debias_all_orders(workspace, tmp_path):
     assert produced == ["deb.cat0-cat1.txt", "deb.cat1-cat0.txt"]
 
 
+def test_neutral_words_file_splits_as_the_loader(workspace, tmp_path):
+    # the loader keeps U+00A0 inside a token, so the neutral list must too
+    emb = load_embeddings(workspace["emb"], "word2vec-text")
+    path = write_embeddings_file(tmp_path / "e.txt", [*emb.vocab, "new\u00a0york"],
+                                 np.vstack([emb.matrix, emb.vector("t0")]))
+    neutral = tmp_path / "neutral.txt"
+    neutral.write_text("t0\tnew\u00a0york\n", encoding="utf-8")
+    out = tmp_path / "deb.txt"
+    assert main(["debias", "--embeddings", str(path), "--specs", workspace["specs"][0],
+                 "--neutral-words", str(neutral), "--k", "1", "--out", str(out)]) == 0
+    deb = load_embeddings(out, "word2vec-text")
+    assert abs(deb.vector("new\u00a0york")[0]) < 1e-8  # g1 component removed
+    np.testing.assert_allclose(deb.vector("new\u00a0york"), deb.vector("t0"),
+                               rtol=0, atol=1e-12)
+    manifest = json.loads((tmp_path / "deb.txt.manifest.json").read_text())
+    assert manifest["warnings"] == []
+
+
 def test_debias_seq_requires_order(workspace, tmp_path, capsys):
     code = main(["debias", "--embeddings", workspace["emb"],
                  "--specs", *workspace["specs"], "--strategy", "seq",
@@ -218,8 +237,90 @@ def test_eval_eq_refuses_embedding_options(tmp_path, capsys):
     out = tmp_path / "e.out"
     assert main(["eval-eq", "--counts", str(counts), "--out", str(out)]) == 0
     config = json.loads((tmp_path / "e.out.manifest.json").read_text())["config"]
-    assert config == {"counts": str(counts), "out": str(out),
-                      "strict_degenerate": False}
+    assert config == {"counts": str(counts), "out": str(out)}
+
+
+# (subcommand, flags, config key and value) of options no code path of that
+# subcommand reads
+UNREAD_OPTIONS = [
+    ("subspace", ["--seed", "5"], {"seed": 5}),
+    ("debias", ["--seed", "5"], {"seed": 5}),
+    ("eval-mac", ["--seed", "5"], {"seed": 5}),
+    ("eval-mac", ["--double-center"], {"double_center": True}),
+    ("eval-mac", ["--strict-degenerate"], {"strict_degenerate": True}),
+    ("eval-eq", ["--strict-degenerate"], {"strict_degenerate": True}),
+]
+
+
+@pytest.mark.parametrize("command,flags,config", UNREAD_OPTIONS)
+def test_unread_option_exits_2(tmp_path, capsys, command, flags, config):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    key, = config
+    assert f"config key {key!r} is not an option of" in capsys.readouterr().err
+
+
+def test_every_declared_option_is_read(workspace, tmp_path, monkeypatch):
+    # every dest a subcommand's parser declares is read by some run of that
+    # subcommand; together the runs below take every mode of each command
+    reads = {}
+
+    class Recorder(argparse.Namespace):
+        recording = False
+
+        def __getattribute__(self, name):
+            if type(self).recording:
+                command = super().__getattribute__("command")
+                reads.setdefault(command, set()).add(name)
+            return super().__getattribute__(name)
+
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(parser, args=None, namespace=None):
+        Recorder.recording = False
+        parsed = parse_args(parser, args, Recorder())
+        Recorder.recording = True
+        return parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    emb, specs, gt = workspace["emb"], workspace["specs"], workspace["gt"]
+    counts = tmp_path / "counts.csv"
+    counts.write_text("group,tp,fp,tn,fn\noverall,5,10,10,5\ng1,5,4,6,5\n")
+    neutral = tmp_path / "neutral.txt"
+    neutral.write_text("t0 t1\nf0\n")
+    out, deb = str(tmp_path / "out.txt"), str(tmp_path / "deb.txt")
+    loaded = ["--embeddings", emb, "--specs", *specs]
+    runs = [
+        ["subspace", "--embeddings", emb, "--spec", specs[0], "--k", "1",
+         "--out", out],
+        ["subspace", "--embeddings", emb, "--spec", *specs, "--k", "1",
+         "--strategy", "josec", "--out", out],
+        ["debias", *loaded, "--strategy", "seq", "--order", "cat0,cat1",
+         "--k", "1", "--out", deb],
+        ["debias", *loaded, "--strategy", "seq", "--all-orders", "--k", "1",
+         "--frozen-subspaces", "--out", out],
+        ["debias", *loaded, "--neutral-words", str(neutral), "--strategy", "josec",
+         "--k", "1", "--out", out],
+        ["eval-mac", *loaded, "--baseline", deb, "--f-table", out],
+        ["eval-eq", "--counts", str(counts), "--out", out],
+        ["validate-hypothesis", *loaded, "--ground-truth", gt, "--k", "1",
+         "--projection-csv", out],
+        ["report", *loaded, "--pipeline", "--ground-truth", gt, "--k", "1",
+         "--projection-csv", out, "--json", str(tmp_path / "r.json")],
+        ["report", *loaded, "--debiased", deb],
+    ]
+    for run in runs:
+        assert main(run) == 0, run
+    sub = next(a for a in build_parser()._actions if a.choices)
+    for command, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions
+                    if a.option_strings and a.dest != "help"}
+        assert declared - reads[command] == set(), command
 
 
 def test_validate_hypothesis_deterministic(workspace, tmp_path):

@@ -251,11 +251,15 @@ class TestHardDebias:
 
     def test_neutral_and_equality_must_be_disjoint(self):
         emb, spec, _, _ = _planted_embedding()
-        plan = DebiasPlan(strategy=Strategy.SINGLE, k=1,
-                          neutral_words=("d0a", "n0"))
         s = sub([np.eye(20)[0]])
-        with pytest.raises(ValueError, match="both the neutral"):
-            hard_debias(emb, s, plan, [spec])
+        # the second list names d0a only through the lowercase fallback
+        for neutral, lowercase in ((("d0a", "n0"), False), (("n0", "D0A"), True)):
+            plan = DebiasPlan(strategy=Strategy.SINGLE, k=1, neutral_words=neutral,
+                              lowercase_fallback=lowercase)
+            with pytest.raises(ValueError, match="both the neutral"):
+                hard_debias(emb, s, plan, [spec])
+            with pytest.raises(ValueError, match="both the neutral"):
+                run_plan(emb, [spec], plan)
 
     def test_defining_words_outside_equality_sets_unchanged(self):
         emb, spec, _, _ = _planted_embedding()

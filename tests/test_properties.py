@@ -243,6 +243,44 @@ def test_run_plan_matches_chained_hard_debias(seed, k, order, kind, lowercase,
     np.testing.assert_allclose(out.matrix, expected.matrix, rtol=0, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
+       order=st.permutations(["c0", "c1", "c2"]),
+       kind=st.sampled_from(["single", "frozen", "sum", "mean", "josec"]))
+def test_run_plan_matches_the_projector_product_off_the_lexicon(seed, k, order, kind):
+    # Every subspace of these plans is built on the input alone. A neutral
+    # row that no step contains is rescaled by a positive scalar after each
+    # step, so the plan maps it to normalize(x (I - C1'C1) (I - C2'C2) ...),
+    # steps in plan order; the product is formed here in plain numpy and
+    # shares no projection code with run_plan.
+    emb, specs = planted_set(seed)
+    if kind == "single":
+        specs = specs[:1]
+    strategy = "sequential" if kind == "frozen" else kind
+    plan = DebiasPlan(strategy=Strategy(strategy), k=k, category_order=tuple(order),
+                      frozen_subspaces=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_plan(emb, specs, plan)
+        subspaces = {s.name: bias_subspace(s, emb, k) for s in specs}
+        if kind == "frozen":
+            steps = [subspaces[name] for name in order]
+        elif kind == "single":
+            steps = list(subspaces.values())
+        else:
+            steps = [compose(kind, list(subspaces.values())).subspace]
+    product = np.eye(emb.dim)
+    for step in steps:
+        product = product @ (np.eye(emb.dim) - step.components.T @ step.components)
+    lexicon = {w for s in specs for w in s.all_words()}
+    rows = [i for i, w in enumerate(emb.vocab) if w not in lexicon]
+    projected = emb.matrix[rows] @ product
+    norms = np.linalg.norm(projected, axis=1)
+    assume((norms > 1e-6).all())
+    np.testing.assert_allclose(out.matrix[rows], projected / norms[:, None],
+                               rtol=0, atol=1e-12)
+
+
 @settings(deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
               elements=st.floats(-1e3, 1e3, allow_nan=False)))
@@ -279,25 +317,27 @@ def test_hard_debias_with_a_pca_subspace_keeps_the_set_normalized(seed, k):
 
 # The JSON type each config key takes, per subcommand, written out here
 # independently of the parser that checks it.
-COMMON_OPTIONS = {"strict_degenerate": bool, "out": str, "manifest": str}
+COMMON_OPTIONS = {"out": str, "manifest": str}
 # the options of every subcommand that loads an embedding file
 EMBEDDING_OPTIONS = {"embeddings": str, "format": str, "normalize": bool,
-                     "lowercase_fallback": bool, "double_center": bool,
-                     "seed": int}
+                     "lowercase_fallback": bool}
+# the options of every subcommand that builds a bias subspace
+CONSTRUCTION_OPTIONS = {"k": int, "double_center": bool, "strict_degenerate": bool}
+HYPOTHESIS_OPTIONS = {"ground_truth": str, "projection_csv": str, "seed": int}
 CONFIG_OPTIONS = {
-    "subspace": {**EMBEDDING_OPTIONS, "spec": list, "k": int, "strategy": str},
-    "debias": {**EMBEDDING_OPTIONS, "specs": list, "strategy": str, "k": int,
-               "order": str, "all_orders": bool, "frozen_subspaces": bool,
-               "neutral_words": str},
+    "subspace": {**EMBEDDING_OPTIONS, **CONSTRUCTION_OPTIONS, "spec": list,
+                 "strategy": str},
+    "debias": {**EMBEDDING_OPTIONS, **CONSTRUCTION_OPTIONS, "specs": list,
+               "strategy": str, "order": str, "all_orders": bool,
+               "frozen_subspaces": bool, "neutral_words": str},
     "eval-mac": {**EMBEDDING_OPTIONS, "specs": list, "baseline": str,
                  "f_table": str},
     "eval-eq": {"counts": str},
-    "validate-hypothesis": {**EMBEDDING_OPTIONS, "specs": list,
-                            "ground_truth": str, "k": int,
-                            "projection_csv": str},
-    "report": {**EMBEDDING_OPTIONS, "specs": list, "debiased": str,
-               "pipeline": bool, "k": int, "frozen_subspaces": bool,
-               "ground_truth": str, "projection_csv": str, "json": str},
+    "validate-hypothesis": {**EMBEDDING_OPTIONS, **CONSTRUCTION_OPTIONS,
+                            **HYPOTHESIS_OPTIONS, "specs": list},
+    "report": {**EMBEDDING_OPTIONS, **CONSTRUCTION_OPTIONS, **HYPOTHESIS_OPTIONS,
+               "specs": list, "debiased": str, "pipeline": bool,
+               "frozen_subspaces": bool, "json": str},
 }
 # JSON values by kind; a generated list is empty or holds no strings, so it is
 # the wrong kind for every key

@@ -227,6 +227,13 @@ def test_load_subspace_malformed(tmp_path):
     path.write_text("gender x 3\n1 0 0\n")
     with pytest.raises(MalformedLineError):
         load_subspace(path)
+    # errors name the physical line, and only \n breaks a line
+    for text, message in (("g 2 3\n\n1 0 0\n\n0 1\n", "line 5: expected 3 values"),
+                          ("\ng 1 2\n1\u20280\n", "line 3: expected 2 values, got 1"),
+                          ("\n\ng 1\n1 0\n", "line 3: header")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=message):
+            load_subspace(path)
 
 
 class TestBiasSubspaceInvariants:
